@@ -54,9 +54,8 @@ def drill_workers(seed: int, jobs: int, crash_rate: float) -> dict:
     runner = Runner(
         jobs=jobs, cache=None,
         supervisor=SupervisorConfig(
-            workers=jobs, wall_limit_s=120.0, retries=2,
-            retry_backoff_s=0.05, chaos_profile="worker-crash",
-            chaos_seed=seed))
+            wall_limit_s=120.0, retries=2, retry_backoff_s=0.05,
+            chaos_profile="worker-crash", chaos_seed=seed))
     # Rate override: the profile's default is fine for CI, but the
     # drill pins it so --crash-rate is honoured.
     runner.pool.chaos = HarnessChaos(seed=seed,

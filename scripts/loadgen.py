@@ -193,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--supervised", action="store_true",
                         help="--spawn only: execute waves through the "
                              "supervised worker pool (per-job process "
-                             "isolation)")
+                             "isolation) even at --jobs 1")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="--spawn only: enable request tracing and "
                              "write the merged Perfetto trace to PATH "

@@ -263,7 +263,7 @@ class ServiceConfig:
     max_batch: int = 16
     #: wall-clock watchdog per wave: jobs still unresolved after this
     #: many seconds are reported as ``error.type == "Timeout"`` (the same
-    #: shape the Runner's pooled-progress watchdog produces)
+    #: shape the supervised pool's per-job wall-clock limit produces)
     job_timeout_s: float = 120.0
     #: seconds advertised in the 429/503 ``Retry-After`` header
     retry_after_s: float = 1.0

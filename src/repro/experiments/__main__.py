@@ -9,7 +9,9 @@ Examples::
     python -m repro.experiments all --jobs 8   # everything, in parallel
 
 Execution control: ``--jobs N`` fans independent simulations out over N
-worker processes; results are cached on disk (``--cache-dir``, default
+supervised worker processes (``--wall-limit``/``--rss-limit``/
+``--retries``/``--chaos`` configure that pool; ``--supervised`` uses it
+even at ``--jobs 1``); results are cached on disk (``--cache-dir``, default
 ``.repro-cache``) keyed by a content hash of the run spec + machine
 config, so re-running any figure — or a figure that shares runs with an
 earlier one — skips the simulations entirely.  ``--no-cache`` disables
@@ -27,6 +29,7 @@ from repro.config import PROTOCOLS
 from repro.experiments import figures
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.experiments.runner import Runner
+from repro.experiments.supervisor import add_pool_arguments, pool_config
 from repro.faults import FAULT_PROFILES
 from repro.stats.report import bar_chart, series_table
 from repro.workloads import PAPER_ORDER
@@ -108,22 +111,7 @@ def main(argv=None) -> int:
                         help="abort the whole batch on the first failed "
                              "simulation instead of recording structured "
                              "error results")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="pooled-run watchdog: abandon outstanding "
-                             "simulations if no worker makes progress for "
-                             "SEC seconds (jobs > 1 only)")
-    parser.add_argument("--supervised", action="store_true",
-                        help="execute through the supervised worker pool: "
-                             "per-job process isolation, crash/hang "
-                             "detection, bounded retries, and a per-spec "
-                             "circuit breaker (see --wall-limit/--rss-limit)")
-    parser.add_argument("--wall-limit", type=float, default=300.0,
-                        metavar="SEC",
-                        help="supervised only: per-job wall-clock kill "
-                             "limit (default 300)")
-    parser.add_argument("--rss-limit", type=int, default=None, metavar="MB",
-                        help="supervised only: per-job address-space limit "
-                             "(default: unlimited)")
+    add_pool_arguments(parser)
     parser.add_argument("--metrics", action="store_true",
                         help="collect the observability spine's metrics "
                              "registry for every simulation and embed the "
@@ -179,16 +167,9 @@ def main(argv=None) -> int:
         # EXPERIMENTS.md stdout) for runs that never asked for a protocol.
         overrides["protocol"] = args.protocol
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    supervisor = None
-    if args.supervised:
-        from repro.experiments.supervisor import SupervisorConfig
-        supervisor = SupervisorConfig(workers=max(1, args.jobs),
-                                      wall_limit_s=args.wall_limit,
-                                      rss_limit_mb=args.rss_limit)
     runner = Runner(jobs=args.jobs, cache=cache,
                     config_overrides=overrides or None,
-                    timeout=args.timeout, fail_fast=args.fail_fast,
-                    supervisor=supervisor)
+                    fail_fast=args.fail_fast, supervisor=pool_config(args))
     previous_runner = figures.set_runner(runner)
     try:
         return _run_experiments(args, workloads, cmps)

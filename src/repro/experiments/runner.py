@@ -13,7 +13,8 @@ separates *what to simulate* from *how to execute it*:
 * :class:`Runner` — executes batches of specs with (a) in-batch and
   in-process deduplication, (b) an optional on-disk
   :class:`~repro.experiments.cache.ResultCache`, and (c) fan-out of
-  cache misses over a ``ProcessPoolExecutor`` (``jobs > 1``).
+  cache misses over the supervised worker pool
+  (:mod:`repro.experiments.supervisor`, ``jobs > 1``).
 
 Determinism: the simulator is seeded and event ordering is FIFO
 tie-broken, so a spec produces bit-identical ``exec_cycles`` and
@@ -31,9 +32,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, scaled_config
@@ -144,30 +143,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
     return result
 
 
-def _pool_worker(spec: RunSpec,
-                 span_ctx: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Pool target: results cross the process boundary as plain dicts
-    (the JSON form — guaranteed picklable, tracer-free).
-
-    With ``span_ctx`` (a serialized :class:`~repro.obs.trace.
-    SpanContext`) the run executes under a ``worker.run`` span nested
-    below the request and the return shape becomes ``{"result": ...,
-    "spans": [...]}`` — the caller unwraps; untraced calls keep the
-    plain-dict shape bit-for-bit.
-    """
-    if span_ctx is None:
-        return execute_spec(spec).to_dict()
-    from repro.obs.trace import SpanContext, Tracer, trace_scope
-    tracer = Tracer(track=f"worker-{os.getpid()}")
-    span = tracer.start_span("worker.run",
-                             parent=SpanContext.from_dict(span_ctx),
-                             pid=os.getpid(), spec=spec.label())
-    with trace_scope(tracer, span):
-        result = execute_spec(spec).to_dict()
-    span.end()
-    return {"result": result, "spans": tracer.span_dicts()}
-
-
 @dataclass
 class BatchStats:
     """What one :meth:`Runner.run_batch` call actually did."""
@@ -230,51 +205,43 @@ class Runner:
       ``all`` invocation even with ``--no-cache``);
     * disk cache — optional :class:`ResultCache`, shared across
       processes and invocations;
-    * pooling — with ``jobs > 1``, cache misses fan out over a
-      ``ProcessPoolExecutor``.
+    * pooling — with ``jobs > 1`` (or an explicit ``supervisor``), every
+      cache miss runs in the supervised worker pool
+      (:mod:`repro.experiments.supervisor`); with ``jobs == 1`` misses
+      run serially in-process, the reference path.
 
     Resilience (all modes return results in spec order, always):
 
     * a spec whose simulation raises produces a structured
       :attr:`RunResult.error` record instead of aborting the batch
-      (``fail_fast=True`` restores the old raise-through behavior);
-    * specs lost to a *crashed* pool worker (``BrokenProcessPool`` — the
-      worker died, nothing deterministic about the spec) are re-submitted
-      to a fresh pool up to ``retries`` times with exponential backoff,
-      logged on stderr;
-    * ``timeout`` arms a pooled-progress watchdog: if no outstanding
-      future completes for ``timeout`` seconds, the still-running specs
-      are abandoned (their workers cannot be killed, only orphaned) and
-      reported as ``error.type == "Timeout"``.  Serial execution cannot
-      be interrupted, so the watchdog applies to pooled runs only.
+      (``fail_fast=True`` raises instead: the exception itself on the
+      serial path, a ``RuntimeError`` naming the worker's error type
+      from the pool);
+    * the pool adds per-job process isolation, wall-clock and
+      address-space limits (a hung worker is killed and reported as
+      ``error.type == "Timeout"``), crash retry with backoff, and a
+      per-spec circuit breaker whose state persists across batches —
+      all configured by the :class:`SupervisorConfig` passed as
+      ``supervisor`` (its defaults for ``True``, or for ``None`` with
+      ``jobs > 1``).
 
     Error results are never written to the disk cache and never
     memoized, so a failed spec is re-attempted on the next batch.
-
-    ``supervisor`` switches execution to the supervised worker pool
-    (:mod:`repro.experiments.supervisor`): per-job process isolation,
-    wall-clock and address-space limits, crash retry with backoff, and
-    a per-spec circuit breaker whose state persists across batches —
-    the serving layer's execution backend.  Results remain
-    bit-identical to serial execution; only scheduling changes.
+    Results are bit-identical on every path; only scheduling changes.
     """
 
     def __init__(self, jobs: int = 1, cache=None, memoize: bool = True,
                  config_overrides: Optional[Dict[str, Any]] = None,
-                 timeout: Optional[float] = None, retries: int = 2,
-                 retry_backoff: float = 0.5, fail_fast: bool = False,
-                 supervisor=None):
+                 fail_fast: bool = False, supervisor=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.jobs = jobs
         #: pool workers actually used: oversubscribing a box (jobs above
         #: the CPU count) only adds process churn — the workers are
         #: CPU-bound simulations, so extra ones time-slice, they do not
-        #: overlap.  Pooling itself still triggers on the *requested*
+        #: overlap.  The pool itself still exists for the *requested*
         #: jobs, so explicitly-parallel callers keep pool semantics
-        #: (crash retry, watchdog) even on a single-CPU machine.
+        #: (isolation, wall limit, crash retry) even on one CPU.
         cpus = os.cpu_count() or 1
         self.jobs_effective = min(jobs, cpus)
         if self.jobs_effective < jobs:
@@ -283,28 +250,17 @@ class Runner:
                   file=sys.stderr)
         self.cache = cache
         self.memoize = memoize
-        self.timeout = timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
         self.fail_fast = fail_fast
         #: machine-config fields forced onto every spec this Runner
         #: executes (e.g. ``{"check": True}`` for sanitized runs).  They
         #: participate in spec identity, so checked and unchecked results
         #: never alias in the memo or the disk cache.
         self.config_overrides = dict(config_overrides or {})
-        #: supervised execution (repro.experiments.supervisor): per-job
-        #: process isolation, wall/RSS limits, crash retry, and a
-        #: per-spec circuit breaker that persists across batches.  Pass
-        #: ``True`` for defaults or a :class:`SupervisorConfig`.  When
-        #: set, every cache miss — even a lone one — runs in its own
-        #: supervised worker instead of the legacy executor/serial leg.
-        if supervisor is True:
-            supervisor = SupervisorConfig()
         self.pool: Optional[SupervisedPool] = None
-        if supervisor is not None:
-            workers = (supervisor.workers if supervisor.workers > 0
-                       else self.jobs_effective)
-            self.pool = SupervisedPool(supervisor, workers=workers)
+        if supervisor is not None or jobs > 1:
+            if supervisor is None or supervisor is True:
+                supervisor = SupervisorConfig()
+            self.pool = SupervisedPool(supervisor, self.jobs_effective)
         self._memo: Dict[RunSpec, RunResult] = {}
         self.last_stats: Optional[BatchStats] = None
         self.total_stats = BatchStats(jobs=self.jobs_effective,
@@ -382,8 +338,6 @@ class Runner:
 
         if self.pool is not None and misses:
             self._execute_supervised(misses, results, stats, parent_map)
-        elif len(misses) > 1 and self.jobs > 1:
-            self._execute_pooled(misses, results, stats, parent_map)
         else:
             for spec in misses:
                 span = (tracer.start_span("runner.execute",
@@ -429,8 +383,7 @@ class Runner:
     def _execute_supervised(self, misses: List[RunSpec],
                             results: Dict[RunSpec, RunResult],
                             stats: BatchStats,
-                            parent_map: Optional[Dict[RunSpec, object]]
-                            = None) -> None:
+                            parent_map: Dict[RunSpec, object]) -> None:
         wave_results, wave = self.pool.run_wave(misses, parents=parent_map,
                                                 tracer=self.tracer)
         stats.retried += wave.retried
@@ -442,125 +395,14 @@ class Runner:
                     f"{result.error['message']}")
             results[spec] = result
 
-    # ------------------------------------------------------------------
-    # Pooled execution with crash retry and a progress watchdog
-    # ------------------------------------------------------------------
-    def _execute_pooled(self, misses: List[RunSpec],
-                        results: Dict[RunSpec, RunResult],
-                        stats: BatchStats,
-                        parent_map: Optional[Dict[RunSpec, object]]
-                        = None) -> None:
-        remaining = list(misses)
-        attempt = 0
-        while remaining:
-            # The 3-arg call is the seam tests stub; the parent map only
-            # rides along when tracing actually supplied one.
-            crashed = (self._pool_round(remaining, results, attempt,
-                                        parent_map)
-                       if parent_map else
-                       self._pool_round(remaining, results, attempt))
-            if not crashed:
-                return
-            if attempt >= self.retries:
-                for spec in crashed:
-                    exc = BrokenProcessPool(
-                        f"worker crashed {attempt + 1} time(s) running "
-                        f"{spec.label()}")
-                    if self.fail_fast:
-                        raise exc
-                    results[spec] = self._error_result(
-                        spec, exc, attempts=attempt + 1)
-                return
-            attempt += 1
-            stats.retried += len(crashed)
-            delay = self.retry_backoff * (2 ** (attempt - 1))
-            print(f"[runner] {len(crashed)} spec(s) lost to a crashed pool "
-                  f"worker; retry {attempt}/{self.retries} in {delay:.1f}s: "
-                  + ", ".join(spec.label() for spec in crashed),
-                  file=sys.stderr)
-            time.sleep(delay)
-            remaining = crashed
-
-    def _pool_round(self, specs: List[RunSpec],
-                    results: Dict[RunSpec, RunResult],
-                    attempt: int,
-                    parent_map: Optional[Dict[RunSpec, object]]
-                    = None) -> List[RunSpec]:
-        """Run ``specs`` through one fresh pool; returns the specs lost
-        to crashed workers (the caller decides whether to retry them).
-
-        Deterministic worker exceptions become error results immediately
-        (re-running the same simulation would raise the same way).  The
-        progress watchdog fires when no future completes for
-        ``self.timeout`` seconds; undone specs are then abandoned — their
-        processes cannot be killed through the executor API, so the pool
-        is shut down without waiting and the workers are orphaned.
-        """
-        crashed: List[RunSpec] = []
-        workers = min(self.jobs_effective, len(specs))
-        parent_map = parent_map or {}
-
-        def _ctx_of(spec: RunSpec) -> Optional[Dict[str, Any]]:
-            if self.tracer is None:
-                return None
-            parent = parent_map.get(spec)
-            return parent.to_dict() if parent is not None else None
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            future_spec = {pool.submit(_pool_worker, spec, _ctx_of(spec)): spec
-                           for spec in specs}
-            not_done = set(future_spec)
-            while not_done:
-                done, not_done = wait(not_done, timeout=self.timeout,
-                                      return_when=FIRST_COMPLETED)
-                if not done:
-                    # Watchdog: no progress for `timeout` seconds.
-                    hung = sorted((future_spec[f].label() for f in not_done))
-                    if self.fail_fast:
-                        raise TimeoutError(
-                            f"no pool progress for {self.timeout}s; "
-                            f"outstanding: {', '.join(hung)}")
-                    print(f"[runner] watchdog: no pool progress for "
-                          f"{self.timeout}s; abandoning {', '.join(hung)}",
-                          file=sys.stderr)
-                    for future in not_done:
-                        spec = future_spec[future]
-                        results[spec] = self._error_result(
-                            spec, TimeoutError(
-                                f"no progress for {self.timeout}s"),
-                            attempts=attempt + 1)
-                    break
-                for future in done:
-                    spec = future_spec[future]
-                    try:
-                        payload = future.result()
-                        if (isinstance(payload, dict) and "spans" in payload
-                                and "result" in payload):
-                            if self.tracer is not None:
-                                self.tracer.adopt(payload["spans"])
-                            payload = payload["result"]
-                        results[spec] = RunResult.from_dict(payload)
-                    except BrokenProcessPool:
-                        crashed.append(spec)
-                    except Exception as exc:
-                        if self.fail_fast:
-                            raise
-                        results[spec] = self._error_result(
-                            spec, exc, attempts=attempt + 1)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return crashed
-
     @staticmethod
-    def _error_result(spec: RunSpec, exc: BaseException,
-                      attempts: int = 1) -> RunResult:
+    def _error_result(spec: RunSpec, exc: BaseException) -> RunResult:
         """Structured per-spec failure record (never cached/memoized)."""
         return RunResult(
             workload=spec.workload, mode=spec.mode, n_cmps=spec.n_cmps,
             exec_cycles=0, policy=spec.policy,
             error={"type": type(exc).__name__, "message": str(exc),
-                   "attempts": attempts, "spec": spec.label()})
+                   "attempts": 1, "spec": spec.label()})
 
 
 def run_batch(specs: Sequence[RunSpec], jobs: int = 1,

@@ -1,10 +1,10 @@
 """Supervised worker pool: per-job isolation, limits, retry, breaker.
 
-The Runner's original pooled leg hands a whole wave to one
-``ProcessPoolExecutor``: a crashed worker poisons the shared pool
-(``BrokenProcessPool`` aborts every outstanding future) and a hung
-worker can only be *abandoned*, never reaped.  This module replaces
-that bare executor with real supervision:
+This is the Runner's one parallel execution leg: every cache miss of a
+``Runner(jobs > 1)`` — or of any Runner given a ``supervisor`` — runs
+here.  A shared executor lets one crashed worker abort every
+outstanding job and can only abandon, never reap, a hung one; this
+pool supervises each job instead:
 
 * **per-job process isolation** — every spec runs in its own
   ``multiprocessing.Process`` with its own pipe, so one death affects
@@ -41,15 +41,16 @@ recovery tests and the CI harness-chaos smoke.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.driver import RunResult
-from repro.faults.harness import HarnessChaos
+from repro.faults.harness import HARNESS_PROFILES, HarnessChaos
 
 #: breaker states (also the label values of the serve-layer gauges)
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
@@ -58,10 +59,9 @@ CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Tunables of the supervised pool (never part of cache keys —
-    supervision shapes scheduling, not results)."""
+    supervision shapes scheduling, not results).  The pool's size is
+    not among them: the Runner sizes it from its CPU-capped ``jobs``."""
 
-    #: max concurrent worker processes (0 = one per available CPU)
-    workers: int = 0
     #: per-job wall-clock budget in seconds (None = unlimited)
     wall_limit_s: Optional[float] = 300.0
     #: per-job address-space cap in MiB, applied in the child via
@@ -75,8 +75,6 @@ class SupervisorConfig:
     breaker_threshold: int = 3
     #: seconds an open breaker waits before admitting a half-open probe
     breaker_cooldown_s: float = 30.0
-    #: supervisor poll cadence
-    poll_interval_s: float = 0.02
     #: sliding window of final outcomes feeding the health gate
     degrade_window: int = 8
     #: worker-death ratio over a full window that triggers degradation
@@ -86,8 +84,6 @@ class SupervisorConfig:
     chaos_seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = auto)")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.breaker_threshold < 1:
@@ -96,8 +92,7 @@ class SupervisorConfig:
             raise ValueError("degrade_window must be >= 1")
         if not 0.0 < self.degrade_crash_ratio <= 1.0:
             raise ValueError("degrade_crash_ratio must be in (0, 1]")
-        for name in ("retry_backoff_s", "poll_interval_s",
-                     "breaker_cooldown_s"):
+        for name in ("retry_backoff_s", "breaker_cooldown_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.wall_limit_s is not None and self.wall_limit_s <= 0:
@@ -110,6 +105,48 @@ class SupervisorConfig:
             return None
         return HarnessChaos.from_profile(self.chaos_profile,
                                          seed=self.chaos_seed)
+
+
+def add_pool_arguments(parser) -> None:
+    """The pool flags shared by ``python -m repro.experiments`` and
+    ``python -m repro.serve`` (``parser`` may be an argument group)."""
+    defaults = SupervisorConfig()
+    parser.add_argument("--supervised", action="store_true",
+                        help="run through the supervised worker pool even "
+                             "at --jobs 1 (--jobs > 1 always uses it): "
+                             "per-job process isolation, crash/hang "
+                             "detection, retries, circuit breaker")
+    parser.add_argument("--wall-limit", type=float,
+                        default=defaults.wall_limit_s, metavar="SEC",
+                        help="pool: per-job wall-clock kill limit "
+                             f"(default {defaults.wall_limit_s:g})")
+    parser.add_argument("--rss-limit", type=int,
+                        default=defaults.rss_limit_mb, metavar="MB",
+                        help="pool: per-job address-space limit "
+                             "(default: unlimited)")
+    parser.add_argument("--retries", type=int, default=defaults.retries,
+                        metavar="N",
+                        help="pool: crash retry budget per job "
+                             f"(default {defaults.retries})")
+    parser.add_argument("--chaos", default=None, metavar="PROFILE",
+                        choices=sorted(HARNESS_PROFILES),
+                        help="pool: arm a harness chaos profile "
+                             f"({', '.join(sorted(HARNESS_PROFILES))})")
+    parser.add_argument("--chaos-seed", type=int,
+                        default=defaults.chaos_seed, metavar="SEED",
+                        help="seed for deterministic chaos draws "
+                             f"(default {defaults.chaos_seed})")
+
+
+def pool_config(args) -> Optional[SupervisorConfig]:
+    """The pool the parsed flags describe, or None when the Runner runs
+    serially in-process (``--jobs 1`` without ``--supervised``)."""
+    if not args.supervised and args.jobs <= 1:
+        return None
+    return SupervisorConfig(wall_limit_s=args.wall_limit,
+                            rss_limit_mb=args.rss_limit,
+                            retries=args.retries, chaos_profile=args.chaos,
+                            chaos_seed=args.chaos_seed)
 
 
 class CircuitBreaker:
@@ -247,8 +284,8 @@ def _worker_main(conn, spec, key: str, attempt: int,
 
 
 def _mp_context():
-    """Fork where available (cheap, matches the legacy executor on
-    Linux); the platform default elsewhere."""
+    """Fork where available (cheap: the child inherits the imported
+    simulator); the platform default elsewhere."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:                                 # pragma: no cover
@@ -297,15 +334,12 @@ class SupervisedPool:
     serialize waves exactly as they serialize ``Runner.run_batch``.
     """
 
-    def __init__(self, config: Optional[SupervisorConfig] = None,
-                 workers: Optional[int] = None,
+    def __init__(self, config: SupervisorConfig, workers: int,
                  clock: Callable[[], float] = time.monotonic):
-        self.config = config if config is not None else SupervisorConfig()
-        limit = workers if workers is not None else self.config.workers
-        if limit <= 0:
-            limit = os.cpu_count() or 1
-        self.configured_workers = limit
-        self.workers = limit              #: current (possibly degraded) size
+        self.config = config
+        #: max concurrent workers (the Runner's CPU-capped ``jobs``)
+        self.configured_workers = workers
+        self.workers = workers            #: current (possibly degraded) size
         self.clock = clock
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown_s, clock)
@@ -388,12 +422,9 @@ class SupervisedPool:
         running: List[_JobState] = []
         try:
             while pending or running:
-                now = self.clock()
-                self._spawn_ready(pending, running, now)
-                progressed = self._poll_running(running, pending, results,
-                                                stats)
-                if not progressed:
-                    time.sleep(self.config.poll_interval_s)
+                self._spawn_ready(pending, running, self.clock())
+                if not self._poll_running(running, pending, results, stats):
+                    self._wait(running, pending)
         finally:
             for job in running:           # only on an unexpected raise
                 self._kill(job)
@@ -403,6 +434,19 @@ class SupervisedPool:
         return results, stats
 
     # ------------------------------------------------------------------
+    def _wait(self, running: List[_JobState],
+              pending: List[_JobState]) -> None:
+        """Block until a running job reports or exits, or until the
+        nearest wall-clock deadline (or, with a worker slot free, retry
+        backoff) expires."""
+        wake = [job.deadline for job in running if job.deadline is not None]
+        if len(running) < self.workers:
+            wake += [job.ready_at for job in pending]
+        timeout = max(0.0, min(wake) - self.clock()) if wake else None
+        multiprocessing.connection.wait(
+            [job.conn for job in running]
+            + [job.process.sentinel for job in running], timeout)
+
     def _spawn_ready(self, pending: List[_JobState],
                      running: List[_JobState], now: float) -> None:
         for job in list(pending):

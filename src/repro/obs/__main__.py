@@ -1,4 +1,4 @@
-"""Command-line analysis of trace and benchmark artifacts.
+"""Command-line analysis of trace and metrics artifacts.
 
 ``python -m repro.obs <command>``:
 
@@ -7,11 +7,7 @@
   milliseconds, and the process tracks each span ran on;
 * ``diff A B`` — per-key delta table between two artifacts of the same
   kind (two traces, or two flat-metrics JSON exports; auto-detected).
-  ``--threshold 0.05`` hides rows that moved less than 5%;
-* ``bench BENCH_*.json`` — evaluate committed benchmark snapshots
-  against the repository's perf contracts
-  (:data:`repro.obs.analyze.RULES`); prints one PASS/FAIL line per rule
-  and exits non-zero if any rule fails — the CI perf gate.
+  ``--threshold 0.05`` hides rows that moved less than 5%.
 
 Examples::
 
@@ -19,7 +15,6 @@ Examples::
     ...
     python -m repro.obs report serve-trace.json
     python -m repro.obs diff metrics-before.json metrics-after.json
-    python -m repro.obs bench BENCH_*.json
 """
 
 from __future__ import annotations
@@ -55,27 +50,10 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    checks = analyze.check_paths(args.snapshots)
-    if not checks:
-        print("no known BENCH_* snapshot among the given files",
-              file=sys.stderr)
-        return 2
-    failed = 0
-    for check in checks:
-        print(check.line())
-        failed += not check.ok
-    if failed:
-        print(f"{failed}/{len(checks)} perf contract(s) violated",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Analyze trace and benchmark artifacts.")
+        description="Analyze trace and metrics artifacts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser(
@@ -91,11 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="hide rows whose relative change is below this "
                            "fraction (default: show all)")
     diff.set_defaults(fn=_cmd_diff)
-
-    bench = sub.add_parser(
-        "bench", help="evaluate BENCH_*.json perf contracts (CI gate)")
-    bench.add_argument("snapshots", nargs="+", metavar="BENCH.json")
-    bench.set_defaults(fn=_cmd_bench)
     return parser
 
 

@@ -1,7 +1,6 @@
-"""Offline analysis of trace and benchmark artifacts.
+"""Offline analysis of trace and metrics artifacts.
 
-Three operations, shared between ``python -m repro.obs`` and the
-benchmark scripts:
+Two operations, behind ``python -m repro.obs``:
 
 * **report** — read one merged Perfetto trace (a ``--trace-out`` file)
   and break a request's wall-clock time down by span name: count,
@@ -11,47 +10,14 @@ benchmark scripts:
 * **diff** — compare two artifacts of the same kind (two traces, or two
   flat-metrics JSON exports) and tabulate per-key deltas.  The format
   is auto-detected (a Chrome trace carries ``traceEvents``; a metrics
-  export is a flat name→number mapping);
-* **bench** — evaluate committed ``BENCH_*.json`` snapshots against the
-  repository's perf contracts (filename-keyed rules below) and report
-  pass/fail per rule.  ``scripts/bench_snapshot.py`` calls the same
-  :func:`check_snapshot` right after writing a snapshot, so the gate a
-  snapshot must pass in CI is the gate it was born under — the rules
-  live here, once, instead of being duplicated as ad-hoc ``SystemExit``
-  checks per benchmark leg.
-
-The rules (thresholds are on *recorded* snapshot fields, so re-running
-the gate on a committed file is deterministic):
-
-===============  ====================================================
-snapshot         contract
-===============  ====================================================
-BENCH_runner     warm cache executes 0 simulations; serial, parallel,
-                 and warm checksums are identical
-BENCH_hotpath    op-tape replay at least breaks even vs the generator
-                 path (``speedup_vs_tape_off >= 1.0``)
-BENCH_proto      protocol-table dispatch costs <= 10% over the
-                 generator oracle (``overhead_vs_proto_off``)
-BENCH_obs        obs-off micro within 15% noise of the committed
-                 runner baseline (``obs_off_vs_baseline``)
-BENCH_trace      spans-off micro within 15% noise of the committed
-                 runner baseline (``spans_off_vs_baseline``) — the
-                 zero-overhead contract for request tracing
-===============  ====================================================
+  export is a flat name→number mapping).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-#: dispatch overhead budget for the protocol-table engine (PR 8's gate)
-PROTO_OVERHEAD_MAX = 0.10
-#: machine-noise band for "feature off must cost nothing" comparisons
-#: against a snapshot committed on (possibly) different hardware
-NOISE_MAX = 0.15
+from typing import Dict, List, Optional, Tuple, Union
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +28,7 @@ def load_artifact(path: Union[str, Path]):
 
 
 def is_trace(doc) -> bool:
-    """Chrome/Perfetto trace vs anything else (flat metrics, bench)."""
+    """Chrome/Perfetto trace vs anything else (flat metrics)."""
     return isinstance(doc, dict) and isinstance(doc.get("traceEvents"), list)
 
 
@@ -181,109 +147,3 @@ def diff_text(a, b, labels: Tuple[str, str] = ("a", "b"),
     if shown == 0:
         lines.append(f"(no key changed by more than {threshold:.0%})")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# bench: filename-keyed perf contracts over BENCH_*.json snapshots
-# ----------------------------------------------------------------------
-@dataclass
-class Check:
-    """One evaluated rule of one snapshot."""
-
-    snapshot: str
-    rule: str
-    ok: bool
-    detail: str
-
-    def line(self) -> str:
-        return (f"{'PASS' if self.ok else 'FAIL'}  {self.snapshot}: "
-                f"{self.rule} ({self.detail})")
-
-
-def _check_runner(data: dict) -> List[Tuple[str, bool, str]]:
-    warm = data.get("warm") or {}
-    simulated = warm.get("simulated")
-    checks = [("warm cache executes zero simulations",
-               simulated == 0, f"simulated={simulated}")]
-    sums = {leg: (data.get(leg) or {}).get("checksum")
-            for leg in ("cold_serial", "cold_parallel", "warm")}
-    present = {v for v in sums.values() if v is not None}
-    checks.append(("checksums identical across execution paths",
-                   len(present) == 1,
-                   ", ".join(f"{leg}={value}"
-                             for leg, value in sums.items())))
-    return checks
-
-
-def _check_hotpath(data: dict) -> List[Tuple[str, bool, str]]:
-    micro = data.get("engine_micro") or {}
-    speedup = micro.get("speedup_vs_tape_off")
-    return [("op-tape replay at least breaks even",
-             speedup is not None and speedup >= 1.0,
-             f"speedup_vs_tape_off={speedup}")]
-
-
-def _check_proto(data: dict) -> List[Tuple[str, bool, str]]:
-    micro = data.get("engine_micro") or {}
-    overhead = micro.get("overhead_vs_proto_off")
-    return [(f"protocol-table dispatch overhead <= "
-             f"{PROTO_OVERHEAD_MAX:.0%}",
-             overhead is not None and overhead <= PROTO_OVERHEAD_MAX,
-             f"overhead_vs_proto_off={overhead}")]
-
-
-def _noise_rule(field: str) -> Callable[[dict], List[Tuple[str, bool, str]]]:
-    def rule(data: dict) -> List[Tuple[str, bool, str]]:
-        value = data.get(field)
-        if value is None:
-            # No committed baseline was present at snapshot time; the
-            # contract is then unverifiable, not violated.
-            return [(f"{field} <= {NOISE_MAX:.0%}", True,
-                     f"{field} absent (no baseline)")]
-        return [(f"{field} <= {NOISE_MAX:.0%}", value <= NOISE_MAX,
-                 f"{field}={value}")]
-    return rule
-
-
-#: basename prefix (sans extension) -> rule evaluator
-RULES: Dict[str, Callable[[dict], List[Tuple[str, bool, str]]]] = {
-    "BENCH_runner": _check_runner,
-    "BENCH_hotpath": _check_hotpath,
-    "BENCH_proto": _check_proto,
-    "BENCH_obs": _noise_rule("obs_off_vs_baseline"),
-    "BENCH_trace": _noise_rule("spans_off_vs_baseline"),
-}
-
-
-def check_snapshot(name: Union[str, Path], data: dict) -> List[Check]:
-    """Evaluate the rules registered for ``name`` (matched on basename
-    prefix).  Unknown snapshots yield no checks — new benchmarks are
-    not failed by omission."""
-    stem = Path(name).stem
-    for prefix, evaluate in RULES.items():
-        if stem.startswith(prefix):
-            return [Check(str(name), rule, ok, detail)
-                    for rule, ok, detail in evaluate(data)]
-    return []
-
-
-def check_paths(paths: Sequence[Union[str, Path]]) -> List[Check]:
-    """Load and evaluate every snapshot file; unreadable files fail."""
-    checks: List[Check] = []
-    for path in paths:
-        try:
-            data = load_artifact(path)
-        except (OSError, ValueError) as exc:
-            checks.append(Check(str(path), "snapshot is readable JSON",
-                                False, str(exc)))
-            continue
-        checks.extend(check_snapshot(path, data))
-    return checks
-
-
-def enforce(name: Union[str, Path], data: dict) -> None:
-    """Raise ``SystemExit`` listing every failed rule (benchmark scripts
-    call this right after writing a snapshot)."""
-    failed = [check for check in check_snapshot(name, data) if not check.ok]
-    if failed:
-        raise SystemExit("\n".join(check.line() for check in failed))

@@ -18,10 +18,11 @@ bus categories, streaming admission/batch/completion events to stderr.
 
 Durability & supervision: ``--journal-dir DIR`` arms the write-ahead
 job journal — a ``kill -9`` mid-wave loses no accepted work; the next
-start replays unresolved jobs before reporting ready.  ``--supervised``
-runs each job in its own watched process (``--wall-limit`` /
-``--rss-limit`` / ``--retries``, circuit breaker for poison specs), and
-``--chaos PROFILE`` arms deterministic harness faults for drills.
+start replays unresolved jobs before reporting ready.  With ``--jobs``
+above 1 — or ``--supervised``, which forces it at ``--jobs 1`` — each job
+runs in its own watched process of the supervised pool (``--wall-limit``
+/ ``--rss-limit`` / ``--retries``, circuit breaker for poison specs),
+and ``--chaos PROFILE`` arms deterministic harness faults for drills.
 SIGTERM triggers a graceful drain bounded by ``--drain-timeout``.
 """
 
@@ -36,8 +37,7 @@ import signal
 from repro.config import ServiceConfig
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.experiments.runner import Runner
-from repro.experiments.supervisor import SupervisorConfig
-from repro.faults.harness import HARNESS_PROFILES
+from repro.experiments.supervisor import add_pool_arguments, pool_config
 from repro.serve.http import ServiceServer
 
 
@@ -96,28 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default=defaults.drain_timeout_s, metavar="SEC",
                             help="SIGTERM graceful-drain budget "
                                  f"(default {defaults.drain_timeout_s})")
-    durability.add_argument("--supervised", action="store_true",
-                            help="run waves through the supervised worker "
-                                 "pool (per-job isolation, crash/hang "
-                                 "detection, retries, circuit breaker)")
-    durability.add_argument("--wall-limit", type=float, default=300.0,
-                            metavar="SEC",
-                            help="supervised: per-job wall-clock limit "
-                                 "(default 300)")
-    durability.add_argument("--rss-limit", type=int, default=None,
-                            metavar="MB",
-                            help="supervised: per-job address-space limit "
-                                 "(default: unlimited)")
-    durability.add_argument("--retries", type=int, default=2,
-                            help="supervised: crash retry budget per job "
-                                 "(default 2)")
-    durability.add_argument("--chaos", default=None, metavar="PROFILE",
-                            choices=sorted(HARNESS_PROFILES),
-                            help="arm a harness chaos profile "
-                                 f"({', '.join(sorted(HARNESS_PROFILES))})")
-    durability.add_argument("--chaos-seed", type=int, default=1,
-                            help="seed for deterministic chaos draws "
-                                 "(default 1)")
+    add_pool_arguments(durability)
     return parser
 
 
@@ -131,20 +110,12 @@ def make_server(args) -> ServiceServer:
         drain_timeout_s=args.drain_timeout,
         trace=args.trace_out is not None)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    supervisor = None
-    if args.supervised:
-        supervisor = SupervisorConfig(
-            workers=max(1, args.jobs), wall_limit_s=args.wall_limit,
-            rss_limit_mb=args.rss_limit, retries=args.retries,
-            chaos_profile=args.chaos, chaos_seed=args.chaos_seed)
-    # The Runner's pooled-progress watchdog backs the serve-level one:
-    # with --jobs > 1 a wave that stalls is first abandoned worker-by-
-    # worker inside the Runner, and only a wholly wedged wave trips the
-    # asyncio deadline above it.  --supervised replaces that pool with
-    # per-job isolated processes whose own wall/RSS limits fire first.
-    runner = Runner(jobs=args.jobs, cache=cache,
-                    timeout=args.timeout if args.jobs > 1 else None,
-                    supervisor=supervisor)
+    # With a pool (--jobs > 1 or --supervised) each job runs in its own
+    # process, and one that outlives --wall-limit is killed and reaped.
+    # The per-wave --timeout watchdog above it answers the clients
+    # whichever fires first; at --jobs 1 it guards the in-process leg
+    # alone, whose thread cannot be killed.
+    runner = Runner(jobs=args.jobs, cache=cache, supervisor=pool_config(args))
     server = ServiceServer(runner=runner, config=config)
     if args.verbose:
         def printer(now, category, subject, detail, event_args):
@@ -161,7 +132,8 @@ async def _amain(args) -> int:
           f"batch_window={server.config.batch_window_s}s, "
           f"jobs={server.service.runner.jobs_effective}, "
           f"journal={args.journal_dir or 'off'}, "
-          f"supervised={args.supervised})", file=sys.stderr, flush=True)
+          f"supervised={server.service.runner.pool is not None})",
+          file=sys.stderr, flush=True)
     loop = asyncio.get_running_loop()
     drained = asyncio.Event()
 

@@ -17,8 +17,8 @@ it:
 3. **batching** — admitted jobs are gathered for ``batch_window_s`` (or
    until ``max_batch``) and executed as one
    :meth:`~repro.experiments.runner.Runner.run_batch` wave, inheriting
-   the runner's in-batch dedup, memo, disk cache, pooling, crash retry,
-   and pooled-progress watchdog;
+   the runner's in-batch dedup, memo, disk cache and — with a pool —
+   per-job isolation, wall-clock limit and crash retry;
 4. **observation** — every stage feeds the ``repro.obs`` spine: probes on
    a wall-clock bus (``serve.request`` / ``serve.shed`` / ``serve.batch``
    / ``serve.done`` / ``serve.timeout``) and a
@@ -28,9 +28,9 @@ it:
 
 A wall-clock watchdog guards each wave: jobs unresolved after
 ``job_timeout_s`` resolve to the same structured ``error.type ==
-"Timeout"`` record the Runner's pooled watchdog produces.  The
-simulation thread itself cannot be killed (the Runner's serial leg has
-the same caveat), so a deliberately-stalled run — e.g. the fault layer's
+"Timeout"`` record the pool's per-job wall-clock limit produces.  The
+wave's thread itself cannot be killed (a pool worker can; the Runner's
+serial leg cannot), so a deliberately-stalled run — e.g. the fault layer's
 ``blackhole`` profile, where every coherence request is dropped and only
 ``max_cycles`` terminates the run — unblocks its *clients* immediately
 while the worker thread drains in the background; its late result is

@@ -31,6 +31,7 @@ from repro.memory.proto.dls import TABLE as DLS
 from repro.memory.proto.lint import lint_all, lint_table
 from repro.memory.proto.table import Capabilities, Event
 from repro.sim import Process
+from repro.workloads import make
 from repro.workloads.fft import FFT
 from repro.workloads.sor import SOR
 from tests.conftest import tiny_config
@@ -132,12 +133,16 @@ TINY_SOR = lambda: SOR(rows=24, cols=16, iterations=2)
 TINY_FFT = lambda: FFT(n1=16)
 
 
-@pytest.mark.parametrize("mode", ["single", "double", "slipstream"])
-def test_table_engine_bit_identical_to_generators(mode):
+#: the last input is the standing micro: ocean on 4 CMPs, slipstream, G1
+@pytest.mark.parametrize("mode,workload,n", [
+    ("single", TINY_SOR, 2), ("double", TINY_SOR, 2),
+    ("slipstream", TINY_SOR, 2), ("slipstream", lambda: make("ocean"), 4)],
+    ids=["single", "double", "slipstream", "micro-ocean@4"])
+def test_table_engine_bit_identical_to_generators(mode, workload, n):
     """Same workload, same config, engine on vs off: every serialized
     field must agree — cycles, breakdowns, fabric counters, the lot."""
-    on = run_mode(TINY_SOR(), scaled_config(2, proto_engine=True), mode)
-    off = run_mode(TINY_SOR(), scaled_config(2, proto_engine=False), mode)
+    on = run_mode(workload(), scaled_config(n, proto_engine=True), mode)
+    off = run_mode(workload(), scaled_config(n, proto_engine=False), mode)
     assert on.to_dict() == off.to_dict()
 
 

@@ -4,8 +4,6 @@ Covers cache-key stability across processes, invalidation when the
 machine configuration changes, warm-cache execution performing zero
 simulations, and graceful handling of corrupt entries."""
 
-from concurrent.futures import ProcessPoolExecutor
-
 import multiprocessing
 import pytest
 
@@ -31,10 +29,8 @@ def test_key_stable_across_processes():
     """The content hash must not depend on per-process state (PYTHONHASHSEED,
     import order, id()s) — pool workers and later invocations must agree."""
     subject = spec(mode=SLIPSTREAM, config_overrides=(("net_time", 150),))
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-        child = pool.submit(_child_key,
-                            (SLIPSTREAM, (("net_time", 150),))).result()
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        child = pool.apply(_child_key, ((SLIPSTREAM, (("net_time", 150),)),))
     assert child == subject.key()
 
 

@@ -13,6 +13,7 @@ from repro.experiments.driver import (DOUBLE, SEQUENTIAL, SINGLE, SLIPSTREAM,
                                       RunResult, run_mode)
 from repro.experiments.runner import (BatchStats, Runner, RunSpec,
                                       execute_spec, run_batch)
+from repro.experiments.supervisor import SupervisorConfig
 from repro.stats.timebreakdown import TimeBreakdown
 from repro.workloads import make
 
@@ -126,10 +127,23 @@ def test_oversubscribed_jobs_capped_to_cpu_count(monkeypatch, capsys):
     import repro.experiments.runner as runner_mod
     monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 2)
     runner = Runner(jobs=8)
-    assert runner.jobs == 8              # pooling still keyed on the ask
+    assert runner.jobs == 8              # the pool still exists on the ask
     assert runner.jobs_effective == 2    # but workers are CPU-capped
     note = capsys.readouterr().err
     assert "jobs=8" in note and "capping pool workers at 2" in note
+
+
+def test_oversubscribed_pool_sized_from_capped_jobs(monkeypatch, capsys):
+    """The pool gets the CPU-capped worker count on every construction
+    path, the serving CLI's included."""
+    import repro.experiments.runner as runner_mod
+    from repro.serve import __main__ as serve_cli
+    monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 2)
+    assert Runner(jobs=8).pool.workers == 2
+    assert Runner(jobs=8, supervisor=SupervisorConfig()).pool.workers == 2
+    args = serve_cli.build_parser().parse_args(
+        ["--no-cache", "--supervised", "--jobs", "8"])
+    assert serve_cli.make_server(args).service.runner.pool.workers == 2
 
 
 def test_jobs_within_cpu_count_not_capped_and_silent(monkeypatch, capsys):

@@ -2,17 +2,17 @@
 
 Covers structured per-spec error records (serial and pooled), the
 ``fail_fast`` raise-through mode, crash retry with backoff for specs
-lost to a broken pool worker, the pooled-progress watchdog, and the
-rule that error results are never cached or memoized.
+lost to a dead pool worker (seeded harness chaos), and the rule that
+error results are never cached or memoized.
 """
 
 import pytest
 
-from concurrent.futures.process import BrokenProcessPool
-
 from repro.experiments.cache import ResultCache
 from repro.experiments.driver import DOUBLE, SINGLE
 from repro.experiments.runner import BatchStats, Runner, RunSpec
+from repro.experiments.supervisor import SupervisorConfig
+from repro.faults.harness import HarnessChaos
 
 
 def spec(mode=SINGLE, name="sor", n=2, **kw) -> RunSpec:
@@ -77,83 +77,57 @@ def test_pooled_worker_error_recorded_in_order():
 
 def test_pooled_fail_fast_raises():
     runner = Runner(jobs=2, fail_fast=True)
-    with pytest.raises(KeyError):
+    with pytest.raises(RuntimeError, match="KeyError"):
         runner.run_batch([spec(), spec(name="no-such-workload", mode=DOUBLE)])
 
 
 # ----------------------------------------------------------------------
-# Crash retry: specs lost to a dead worker are re-submitted
+# Crash retry: specs lost to a dead worker are re-run
 # ----------------------------------------------------------------------
-def test_crashed_specs_are_retried(monkeypatch, capsys):
-    runner = Runner(jobs=2, retry_backoff=0.01)
-    real = runner._pool_round
+def chaos_runner(retries=2, fail_fast=False, profile="worker-crash",
+                 seed=1) -> Runner:
+    return Runner(jobs=2, fail_fast=fail_fast, supervisor=SupervisorConfig(
+        retries=retries, retry_backoff_s=0.01, chaos_profile=profile,
+        chaos_seed=seed))
 
-    def crash_once(specs, results, attempt):
-        if attempt == 0:
-            return list(specs)  # simulate: every spec lost to a dead worker
-        return real(specs, results, attempt)
 
-    monkeypatch.setattr(runner, "_pool_round", crash_once)
-    results = runner.run_batch([spec(), spec(mode=DOUBLE)])
+def test_crashed_specs_are_retried():
+    # A seed whose first draw crashes every spec's worker and whose
+    # retry draw is clean.
+    specs = [spec(), spec(mode=DOUBLE)]
+    rate = HarnessChaos.from_profile("worker-crash").worker_crash_rate
+    seed = next(s for s in range(1000) if all(
+        HarnessChaos(seed=s, worker_crash_rate=rate)
+        .worker_fault(one.key(), attempt) == fault
+        for one in specs for attempt, fault in ((0, "crash"), (1, None))))
+    runner = chaos_runner(seed=seed)
+    results = runner.run_batch(specs)
     assert all(r.error is None for r in results)
     assert results[0].exec_cycles > 0
     stats = runner.last_stats
     assert stats.retried == 2 and stats.failed == 0
-    assert "retry 1/2" in capsys.readouterr().err
 
 
-def test_crash_retries_exhausted_become_errors(monkeypatch, capsys):
-    runner = Runner(jobs=2, retries=1, retry_backoff=0.01)
-    monkeypatch.setattr(runner, "_pool_round",
-                        lambda specs, results, attempt: list(specs))
+def test_crash_retries_exhausted_become_errors():
+    runner = chaos_runner(retries=1, profile="poison")
     results = runner.run_batch([spec(), spec(mode=DOUBLE)])
     for result in results:
         assert result.error is not None
-        assert result.error["type"] == "BrokenProcessPool"
+        assert result.error["type"] == "WorkerCrash"
         assert result.error["attempts"] == 2  # initial try + 1 retry
     assert runner.last_stats.failed == 2
+    assert runner.last_stats.retried == 2
 
 
-def test_crash_fail_fast_raises(monkeypatch):
-    runner = Runner(jobs=2, retries=0, fail_fast=True)
-    monkeypatch.setattr(runner, "_pool_round",
-                        lambda specs, results, attempt: list(specs))
-    with pytest.raises(BrokenProcessPool):
+def test_crash_fail_fast_raises():
+    runner = chaos_runner(retries=0, fail_fast=True, profile="poison")
+    with pytest.raises(RuntimeError, match="WorkerCrash"):
         runner.run_batch([spec(), spec(mode=DOUBLE)])
 
 
 # ----------------------------------------------------------------------
-# Progress watchdog
+# Stats plumbing
 # ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_watchdog_abandons_stalled_pool(capsys):
-    """With a timeout far below worker start-up + simulation time, the
-    first wait() makes no progress and the watchdog must abandon the
-    batch with structured Timeout errors instead of hanging."""
-    runner = Runner(jobs=2, timeout=0.01)
-    results = runner.run_batch([spec(), spec(mode=DOUBLE)])
-    for result in results:
-        assert result.error is not None
-        assert result.error["type"] == "TimeoutError"
-    assert runner.last_stats.failed == 2
-    assert "watchdog" in capsys.readouterr().err
-
-
-@pytest.mark.slow
-def test_watchdog_fail_fast_raises():
-    runner = Runner(jobs=2, timeout=0.01, fail_fast=True)
-    with pytest.raises(TimeoutError):
-        runner.run_batch([spec(), spec(mode=DOUBLE)])
-
-
-# ----------------------------------------------------------------------
-# Constructor validation + stats plumbing
-# ----------------------------------------------------------------------
-def test_runner_rejects_negative_retries():
-    with pytest.raises(ValueError):
-        Runner(retries=-1)
-
-
 def test_batch_stats_summary_reports_resilience():
     stats = BatchStats(total=3, unique=3, executed=3, failed=1, retried=2,
                        jobs=2, serial_seconds=1.0, wall_seconds=1.0)

@@ -428,9 +428,9 @@ def test_cli_make_server_wires_config_cache_and_verbose(capsys):
     assert server.config.max_queue == 3
     assert server.config.job_timeout_s == 9
     assert server.service.runner.cache is None
-    # --jobs 1 (default): the serve watchdog stands alone, the Runner's
-    # pooled-progress watchdog stays off
-    assert server.service.runner.timeout is None
+    # --jobs 1 (default): the serve watchdog stands alone over the
+    # in-process serial leg; no worker pool exists
+    assert server.service.runner.pool is None
 
 
 def test_cli_make_server_durability_flags(tmp_path):

@@ -26,7 +26,7 @@ def pool(**kwargs):
 # Config validation
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kwargs", [
-    dict(workers=-1), dict(retries=-1), dict(breaker_threshold=0),
+    dict(breaker_cooldown_s=-1), dict(retries=-1), dict(breaker_threshold=0),
     dict(degrade_window=0), dict(degrade_crash_ratio=0.0),
     dict(degrade_crash_ratio=1.5), dict(retry_backoff_s=-1),
     dict(wall_limit_s=0), dict(rss_limit_mb=0),
@@ -207,8 +207,8 @@ def test_health_gate_degrades_and_recovers():
 # Runner integration
 # ----------------------------------------------------------------------
 def test_runner_supervised_backend_matches_serial():
-    supervised = Runner(cache=None, supervisor=SupervisorConfig(
-        workers=2, retry_backoff_s=0.01))
+    supervised = Runner(jobs=2, cache=None, supervisor=SupervisorConfig(
+        retry_backoff_s=0.01))
     serial = Runner(cache=None)
     specs = [RunSpec(workload="sor", mode="single", n_cmps=2),
              RunSpec(workload="sor", mode="double", n_cmps=2)]
@@ -230,14 +230,13 @@ def test_runner_supervisor_true_uses_defaults():
 
 def test_runner_fail_fast_raises_on_supervised_error():
     runner = Runner(cache=None, fail_fast=True, supervisor=SupervisorConfig(
-        workers=1, retries=0, retry_backoff_s=0.01,
-        chaos_profile="poison"))
+        retries=0, retry_backoff_s=0.01, chaos_profile="poison"))
     with pytest.raises(RuntimeError, match="WorkerCrash"):
         runner.run_batch([SMALL])
 
 
 def test_supervised_errors_are_not_memoized():
-    config = SupervisorConfig(workers=1, retries=0, retry_backoff_s=0.01,
+    config = SupervisorConfig(retries=0, retry_backoff_s=0.01,
                               chaos_profile="poison")
     runner = Runner(cache=None, supervisor=config)
     first = runner.run(SMALL)

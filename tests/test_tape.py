@@ -62,9 +62,9 @@ def assert_identical(tape_result, oracle_result):
             f"{getattr(oracle_result, name)!r}")
 
 
-def differential(workload_factory, mode, **run_kwargs):
-    on = run_mode(workload_factory(), cfg(True), mode, **run_kwargs)
-    off = run_mode(workload_factory(), cfg(False), mode, **run_kwargs)
+def differential(workload_factory, mode, n=2, **run_kwargs):
+    on = run_mode(workload_factory(), cfg(True, n), mode, **run_kwargs)
+    off = run_mode(workload_factory(), cfg(False, n), mode, **run_kwargs)
     assert_identical(on, off)
     return on
 
@@ -135,9 +135,13 @@ def test_fingerprint_is_stable_and_content_sensitive():
 # ----------------------------------------------------------------------
 # Differential: workloads x modes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["single", "double", "slipstream"])
-def test_tape_matches_oracle_across_modes(mode):
-    differential(sor, mode)
+#: the last input is the standing micro: ocean on 4 CMPs, slipstream, G1
+@pytest.mark.parametrize("mode,workload,n", [
+    ("single", sor, 2), ("double", sor, 2), ("slipstream", sor, 2),
+    ("slipstream", lambda: make("ocean"), 4)],
+    ids=["single", "double", "slipstream", "micro-ocean@4"])
+def test_tape_matches_oracle_across_modes(mode, workload, n):
+    differential(workload, mode, n)
 
 
 def test_tape_matches_oracle_small_cg():

@@ -8,7 +8,7 @@ The layering under test:
   merged Perfetto rendering;
 * ambient scope — the engine driver's phases join a bound scope and
   cost nothing without one;
-* cross-process propagation — pooled and supervised workers ship their
+* cross-process propagation — supervised pool workers ship their
   spans home with the parent request's trace_id, through crashes,
   hangs, and retries;
 * the service — root spans per admitted request, queue-wait/wave-
@@ -16,7 +16,7 @@ The layering under test:
   journal replay keeping pre-crash trace identity;
 * byte-identity — with tracing off, wire payloads, journal records,
   and error shapes are exactly the pre-tracing ones;
-* the analysis CLI — report/diff/bench over trace and BENCH artifacts.
+* the analysis CLI — report/diff over trace and metrics artifacts.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import json
 import pytest
 
 from repro.config import ServiceConfig
-from repro.experiments.runner import Runner, RunSpec, _pool_worker, \
-    execute_spec
+from repro.experiments.runner import Runner, RunSpec, execute_spec
 from repro.experiments.supervisor import SupervisedPool, SupervisorConfig
 from repro.faults import FAULT_PROFILES
 from repro.faults.harness import HarnessChaos
@@ -185,14 +184,8 @@ def test_engine_without_scope_emits_nothing():
 
 
 # ----------------------------------------------------------------------
-# Cross-process propagation: pooled and supervised workers
+# Cross-process propagation: supervised pool workers
 # ----------------------------------------------------------------------
-def test_untraced_pool_worker_payload_shape_unchanged():
-    payload = _pool_worker(SMALL)
-    assert "spans" not in payload
-    assert payload["workload"] == "sor"          # the plain result dict
-
-
 def test_pooled_runner_ships_spans_home():
     runner = Runner(jobs=2)
     tracer = Tracer()
@@ -500,7 +493,7 @@ def test_metrics_schema_is_stable_before_first_request():
 
 
 # ----------------------------------------------------------------------
-# Offline analysis: report / diff / bench
+# Offline analysis: report / diff
 # ----------------------------------------------------------------------
 def make_trace_doc():
     tracer = Tracer(track="service")
@@ -542,35 +535,7 @@ def test_diff_handles_traces_and_flat_metrics():
     assert "serve.requests" in analyze.diff_text(a, b, threshold=0.1)
 
 
-def test_bench_rules_pass_and_fail():
-    good = {"engine_micro": {"speedup_vs_tape_off": 1.2}}
-    bad = {"engine_micro": {"speedup_vs_tape_off": 0.9}}
-    assert all(c.ok for c in analyze.check_snapshot("BENCH_hotpath.json",
-                                                    good))
-    assert not all(c.ok for c in analyze.check_snapshot("BENCH_hotpath.json",
-                                                        bad))
-    runner_ok = {"warm": {"simulated": 0, "checksum": 1.5},
-                 "cold_serial": {"checksum": 1.5},
-                 "cold_parallel": {"checksum": 1.5}}
-    assert all(c.ok for c in analyze.check_snapshot("BENCH_runner.json",
-                                                    runner_ok))
-    runner_bad = {"warm": {"simulated": 2, "checksum": 1.5},
-                  "cold_serial": {"checksum": 1.5},
-                  "cold_parallel": {"checksum": 9.9}}
-    assert sum(not c.ok for c in analyze.check_snapshot(
-        "BENCH_runner.json", runner_bad)) == 2
-    # noise rules: absent baseline is unverifiable, not violated
-    assert all(c.ok for c in analyze.check_snapshot("BENCH_trace.json", {}))
-    assert not all(c.ok for c in analyze.check_snapshot(
-        "BENCH_trace.json", {"spans_off_vs_baseline": 0.5}))
-    with pytest.raises(SystemExit):
-        analyze.enforce("BENCH_proto.json",
-                        {"engine_micro": {"overhead_vs_proto_off": 0.5}})
-    # unknown snapshots yield no checks (new benchmarks not failed)
-    assert analyze.check_snapshot("BENCH_novel.json", {}) == []
-
-
-def test_obs_cli_report_and_bench(tmp_path, capsys):
+def test_obs_cli_report_and_diff(tmp_path, capsys):
     from repro.obs.__main__ import main
 
     trace_path = tmp_path / "trace.json"
@@ -578,17 +543,7 @@ def test_obs_cli_report_and_bench(tmp_path, capsys):
     assert main(["report", str(trace_path)]) == 0
     assert "serve.request" in capsys.readouterr().out
 
-    good = tmp_path / "BENCH_hotpath.json"
-    good.write_text(json.dumps(
-        {"engine_micro": {"speedup_vs_tape_off": 1.2}}))
-    assert main(["bench", str(good)]) == 0
-    bad = tmp_path / "BENCH_proto.json"
-    bad.write_text(json.dumps(
-        {"engine_micro": {"overhead_vs_proto_off": 0.9}}))
-    assert main(["bench", str(good), str(bad)]) == 1
-    assert main(["diff", str(good), str(good)]) == 0
-    # committed snapshots must satisfy their own gates
-    import glob
-    committed = glob.glob("BENCH_*.json")
-    if committed:
-        assert main(["bench"] + committed) == 0
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"serve.requests": 10}))
+    assert main(["diff", str(metrics), str(metrics)]) == 0
+    assert main(["diff", str(trace_path), str(metrics)]) == 2
