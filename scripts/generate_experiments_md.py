@@ -51,6 +51,13 @@ def md_table(headers, rows):
     return "\n".join(out)
 
 
+def slipstream_gain(cells) -> float:
+    """Best slipstream policy over the next best conventional mode, as a
+    percentage (one Figure 5 cell)."""
+    best = cells[figures.best_policy(cells)]
+    return 100 * (best / max(1.0, cells["double"]) - 1)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--output", default="EXPERIMENTS.md")
@@ -112,16 +119,26 @@ def main() -> None:
     w("1. **Absolute cycle counts do not transfer** (scaled inputs, "
       "coarse processor model); all comparisons below are shapes and "
       "ratios, which is also how the paper reports them.")
+    fft = raw["fig5"]["fft"][figures.COMPARISON_CMPS["fft"]]
+    fft_slip = [fft[p] for p in ("L1", "L0", "G1", "G0")]
     w("2. **FFT**: the paper reports slipstream beating both conventional "
       "modes at 4 CMPs; in our model double mode retains more headroom "
       "for FFT at 4 CMPs, so slipstream clearly beats *single* mode "
-      "(~1.1x) but not double. Our FFT's single-mode curve saturates "
-      "hard rather than strictly declining.")
-    w("3. **Gain magnitudes**: our slipstream wins land roughly in the "
-      "paper's 12-19% band for SOR/Ocean/MG/SP but are smaller for "
-      "CG and Water-NS (~0-8%): their gather phases are hot-line "
-      "broadcasts whose serialization at the directory cannot be hidden "
-      "by prefetching, a regime the scaled inputs exaggerate.")
+      f"({min(fft_slip):.2f}-{max(fft_slip):.2f}x across policies) but "
+      f"not double ({fft['double']:.2f}x). Our FFT's single-mode speedup "
+      f"keeps rising slowly (to {raw['fig4']['fft'][16]:.2f}x at 16 "
+      "CMPs) rather than degrading beyond 4 CMPs.")
+    gain = {name: slipstream_gain(
+        raw["fig5"][name][figures.COMPARISON_CMPS[name]])
+        for name in ("sor", "ocean", "mg", "sp", "cg", "water-ns")}
+    w("3. **Gain magnitudes** (best policy over the next best mode at 16 "
+      "CMPs): SOR, Ocean, MG and SP land at or above the paper's 12-19% "
+      f"band ({gain['sor']:.0f}%, {gain['ocean']:.0f}%, "
+      f"{gain['mg']:.0f}%, {gain['sp']:.0f}%); CG and Water-NS stay "
+      f"below it ({gain['cg']:.0f}%, {gain['water-ns']:.0f}%): their "
+      "gather phases are hot-line broadcasts whose serialization at the "
+      "directory cannot be hidden by prefetching, a regime the scaled "
+      "inputs exaggerate.")
     w("4. **Best A-R policy per benchmark** differs from the paper for "
       "several kernels (expected: it is timing-sensitive), but the "
       "paper's structural claim — no consistent winner across benchmarks "
@@ -286,8 +303,6 @@ def main() -> None:
       "`repro.experiments.claims` are checkable against this data: "
       "`python -m repro.experiments claims` (expects the accompanying "
       "`results_raw.json`).")
-    w("")
-    w(f"_Total generation time: {time.time() - started:.0f}s._")
     w("")
 
     Path(args.output).write_text("\n".join(lines))

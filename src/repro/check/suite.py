@@ -44,22 +44,30 @@ is still checked structurally).  Everything a guard-serialized protocol
 actually guarantees stays enforced.
 
 Violations raise :class:`~repro.check.violation.InvariantViolation`
-immediately, carrying the cycle, node, line, and the most recent trace
+immediately, carrying the cycle, node, line, and the most recent bus
 events.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Optional, Set, Tuple
+from collections import Counter, deque
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.check import predicates
 from repro.check.violation import InvariantViolation
 from repro.memory.cache import MODIFIED
 from repro.memory.directory import EXCLUSIVE, DirectoryEntry
 
-#: trace events attached to a violation
+#: recent bus events attached to a violation
 CONTEXT_EVENTS = 8
+
+#: the bus categories a violation's recent events are drawn from: the
+#: protocol, slipstream, and fault events (not the per-access spine
+#: categories such as ``cpu.wait`` or ``l2.fill``)
+CONTEXT_CATEGORIES = (
+    "txn", "migratory", "intervention", "si-hint",
+    "si-inval", "si-downgrade",
+    "recovery", "adapt", "demote", "promote", "corrupt")
 
 
 class _TxnSnapshot:
@@ -79,10 +87,14 @@ class _TxnSnapshot:
 class CheckerSuite:
     """All invariant checkers behind one hook object."""
 
-    def __init__(self, engine, tracer=None):
+    def __init__(self, engine):
         self.engine = engine
-        from repro.sim import NULL_TRACER
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: the most recent ``(cycle, category, subject, detail)`` events,
+        #: fed by the observability spine when the machine has one
+        self.recent: Deque[Tuple[int, str, str, str]] = deque(
+            maxlen=CONTEXT_EVENTS)
+        if engine.obs is not None:
+            engine.obs.subscribe(self._on_event, CONTEXT_CATEGORIES)
         self.fabric = None
         self.caps = None
         self.controllers: Dict[int, object] = {}
@@ -128,11 +140,14 @@ class CheckerSuite:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def _on_event(self, time: int, category: str, subject: str,
+                  detail: str, args: dict) -> None:
+        self.recent.append((time, category, subject, detail))
+
     def _fail(self, check: str, message: str, node: Optional[int] = None,
               line: Optional[int] = None) -> None:
-        events = self.tracer.events()[-CONTEXT_EVENTS:]
         raise InvariantViolation(check, message, self.engine.now,
-                                 node=node, line=line, events=events)
+                                 node=node, line=line, events=self.recent)
 
     def stats(self) -> Dict[str, int]:
         """Fire counts per check (all zero only if nothing was simulated)."""

@@ -3,7 +3,7 @@
 An :class:`InvariantViolation` is raised the moment a checker observes a
 broken invariant.  It is an exception (not a log line) on purpose: a
 protocol bug caught mid-simulation should abort the run with the *exact*
-cycle, node, and line it happened at, plus the most recent trace events,
+cycle, node, and line it happened at, plus the most recent bus events,
 instead of surfacing a thousand events later as a slightly-wrong cycle
 count in a figure.
 """
@@ -27,8 +27,8 @@ class InvariantViolation(AssertionError):
     line:
         Cache-line address involved, if any.
     events:
-        The most recent :class:`~repro.sim.trace.TraceEvent`\\ s at the time
-        of the violation (empty when tracing is off).
+        The most recent ``(cycle, category, subject, detail)`` bus events
+        at the time of the violation (empty on a machine without a spine).
     """
 
     def __init__(self, check: str, message: str, cycle: int,
@@ -46,6 +46,9 @@ class InvariantViolation(AssertionError):
             where.append(f"line={line:#x}")
         text = f"[{check}] {message} ({', '.join(where)})"
         if self.events:
-            tail = "\n".join(f"  {event}" for event in self.events)
+            tail = "\n".join(
+                f"  [{time:>10}] {category:<12} {subject}"
+                f"{' ' + detail if detail else ''}"
+                for time, category, subject, detail in self.events)
             text += f"\nrecent events:\n{tail}"
         super().__init__(text)

@@ -12,8 +12,8 @@ The three modes of Figure 2 (plus the uniprocessor baseline):
 Extension flags (all off by default; see DESIGN.md section 4b):
 ``forwarding`` (A->R access-pattern forwarding), ``speculative_barriers``
 (pattern replay at barrier entry — a documented negative result),
-``adaptive`` (dynamic A-R policy selection), ``migratory``
-(directory-detected migratory grants), and ``trace`` (event log).
+``adaptive`` (dynamic A-R policy selection), and ``migratory``
+(directory-detected migratory grants).
 """
 
 from __future__ import annotations
@@ -78,8 +78,6 @@ class RunResult:
     stores_converted: int = 0
     stores_skipped: int = 0
     transparent_loads_issued: int = 0
-    #: event tracer of the run (populated when run with trace=True)
-    tracer: Optional[object] = None
     #: adaptive-policy switches (adaptive=True runs)
     policy_switches: int = 0
     final_policies: Optional[Dict[int, str]] = None
@@ -127,17 +125,12 @@ class RunResult:
         return f"{self.workload}/{self.mode}{suffix}@{self.n_cmps}"
 
     # ------------------------------------------------------------------
-    # JSON round-trip (used by the result cache and the process pool).
-    # The tracer is deliberately dropped: it holds engine references and
-    # is neither picklable nor meaningful outside the producing process.
+    # JSON round-trip (used by the result cache and the worker pool)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-able dict capturing every field except ``tracer``."""
-        data: Dict[str, object] = {}
-        for spec in dataclasses.fields(self):
-            if spec.name == "tracer":
-                continue
-            data[spec.name] = getattr(self, spec.name)
+        """JSON-able dict capturing every field."""
+        data: Dict[str, object] = {spec.name: getattr(self, spec.name)
+                                   for spec in dataclasses.fields(self)}
         data["task_breakdowns"] = [b.as_dict() for b in self.task_breakdowns]
         data["astream_breakdowns"] = [b.as_dict()
                                       for b in self.astream_breakdowns]
@@ -147,8 +140,7 @@ class RunResult:
     def from_dict(cls, data: Dict[str, object]) -> "RunResult":
         """Inverse of :meth:`to_dict`; tolerant of JSON's string keys."""
         known = {spec.name for spec in dataclasses.fields(cls)}
-        fields_in = {k: v for k, v in data.items()
-                     if k in known and k != "tracer"}
+        fields_in = {k: v for k, v in data.items() if k in known}
         fields_in["task_breakdowns"] = [
             TimeBreakdown(**b) for b in fields_in.get("task_breakdowns", [])]
         fields_in["astream_breakdowns"] = [
@@ -185,13 +177,11 @@ def _task_home(mode: str, n_cmps: int):
 
 def run_mode(workload, config: MachineConfig, mode: str,
              policy: ARSyncPolicy = G1, transparent: bool = False,
-             si: bool = False, trace: bool = False,
-             adaptive: bool = False, migratory: bool = False,
+             si: bool = False, adaptive: bool = False, migratory: bool = False,
              forwarding: bool = False, speculative_barriers: bool = False,
              max_cycles: Optional[int] = None,
              check: bool = False, metrics: bool = False,
-             trace_out: Optional[str] = None,
-             observe: bool = False) -> RunResult:
+             trace_out: Optional[str] = None) -> RunResult:
     """Simulate ``workload`` under ``mode`` on a machine built from
     ``config``; returns the collected :class:`RunResult`.
 
@@ -202,10 +192,9 @@ def run_mode(workload, config: MachineConfig, mode: str,
     (repro.check); a broken invariant raises ``InvariantViolation``.
     ``metrics`` (or ``config.metrics``) attaches the observability
     spine's metrics registry and embeds the flat export in the result;
-    ``trace_out`` writes a Chrome/Perfetto trace of the run to the given
-    path; ``observe`` forces a (subscriber-less) spine for callers that
-    attach their own consumers.  None of the three changes simulated
-    timing.
+    ``trace_out`` writes a Chrome/Perfetto trace of the run (every bus
+    event of the machine) to the given path.  None of the three changes
+    simulated timing.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
@@ -225,9 +214,9 @@ def run_mode(workload, config: MachineConfig, mode: str,
                   if span_tracer is not None else None)
 
     slip = mode == SLIPSTREAM
-    system = System(config, classify_requests=slip, trace=trace,
+    system = System(config, classify_requests=slip,
                     check=check or config.check, metrics=metrics,
-                    observe=observe or trace_out is not None)
+                    observe=trace_out is not None)
     exporter = (system.obs.add_perfetto(run_label=f"{workload.name}/{mode}")
                 if trace_out is not None else None)
     system.fabric.si_enabled = si
@@ -408,8 +397,6 @@ def run_mode(workload, config: MachineConfig, mode: str,
                                                 for p in pairs)
     else:
         result.task_breakdowns = [e.processor.breakdown for e in executors]
-    if trace:
-        result.tracer = system.tracer
     if system.checker is not None:
         result.check_stats = system.checker.stats()
     if system.faults is not None:

@@ -190,7 +190,7 @@ class BatchStats:
                 else f"jobs={self.jobs} capped from {self.jobs_requested}")
         return (f"{self.total} runs requested: {self.executed} simulated, "
                 f"{self.cache_hits} from disk cache, {self.memo_hits} "
-                f"memoized, {self.total - self.unique - self.memo_hits} "
+                f"memoized, {self.total - self.unique} "
                 f"deduplicated in-batch ({jobs}){resilience}; "
                 f"serial-equivalent {self.serial_seconds:.1f}s in "
                 f"{self.wall_seconds:.1f}s wall ({self.speedup:.2f}x)")

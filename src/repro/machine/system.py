@@ -14,7 +14,7 @@ from repro.machine.node import CmpNode
 from repro.machine.processor import Processor
 from repro.memory.address import AddressSpace, SharedAllocator
 from repro.memory.protocol import CoherenceFabric
-from repro.sim import NULL_TRACER, Engine, Tracer
+from repro.sim import Engine
 from repro.stats.classify import RequestClassifier
 
 
@@ -22,7 +22,7 @@ class System:
     """An ``n_cmps``-node CMP-based DSM multiprocessor."""
 
     def __init__(self, config: MachineConfig,
-                 classify_requests: bool = True, trace: bool = False,
+                 classify_requests: bool = True,
                  check: Optional[bool] = None,
                  metrics: Optional[bool] = None, observe: bool = False):
         self.config = config
@@ -32,38 +32,25 @@ class System:
         if metrics is None:
             metrics = config.metrics
         #: observability spine (repro.obs): the single attachment point
-        #: for the tracer, checker, faults, metrics, and exporters.  Built
-        #: *before* the fabric and nodes so they capture ``engine.obs``
-        #: (and their probes) at construction.  ``observe`` forces a spine
-        #: even when no legacy channel needs one (e.g. for exporters
-        #: attached by the caller); a machine built with none of these
-        #: keeps ``engine.obs is None`` and pays zero overhead.
+        #: for event subscribers, metrics, and exporters.  Built *before*
+        #: the fabric and nodes so they capture ``engine.obs`` (and their
+        #: probes) at construction.  ``observe`` forces a spine for
+        #: callers that attach their own subscribers or exporters; a
+        #: machine built with none of these keeps ``engine.obs is None``
+        #: and pays zero overhead.
         self.obs = None
-        if trace or check or config.faults or metrics or observe:
+        if check or config.faults or metrics or observe:
             from repro.obs import Observability
             self.obs = self.engine.install_obs(
                 Observability(self.engine, metrics=metrics))
-        #: event tracer shared by the fabric and node controllers; a
-        #: do-nothing singleton unless ``trace`` is requested.  Checked
-        #: runs keep a small ring of recent events so an
-        #: InvariantViolation can carry context even without full tracing.
-        if trace:
-            self.tracer = Tracer(self.engine)
-        elif check:
-            self.tracer = Tracer(self.engine, capacity=256)
-        else:
-            self.tracer = NULL_TRACER
-        if self.tracer is not NULL_TRACER:
-            # Rides the bus as a subscriber, restricted to its historical
-            # event categories — counts and ring contents are unchanged.
-            self.obs.attach_tracer(self.tracer)
         #: invariant-checker suite (repro.check); installed on the engine
         #: *before* the fabric and nodes are built, which is where they
-        #: pick up their checker references
+        #: pick up their checker references.  It subscribes to the spine
+        #: for the recent events a violation carries.
         self.checker = None
         if check:
             from repro.check import CheckerSuite
-            self.checker = CheckerSuite(self.engine, tracer=self.tracer)
+            self.checker = CheckerSuite(self.engine)
             self.engine.install_checker(self.checker)
         #: fault injector (repro.faults); like the checker, installed
         #: before the fabric and nodes are built so they capture it
@@ -77,8 +64,7 @@ class System:
         self.allocator = SharedAllocator(self.space)
         self.classifier: Optional[RequestClassifier] = (
             RequestClassifier() if classify_requests else None)
-        self.fabric = CoherenceFabric(self.engine, config, self.space,
-                                      tracer=self.tracer)
+        self.fabric = CoherenceFabric(self.engine, config, self.space)
         self.nodes: List[CmpNode] = [
             CmpNode(self.engine, config, node_id, self.fabric, self.space,
                     classifier=self.classifier)

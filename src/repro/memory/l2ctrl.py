@@ -86,7 +86,6 @@ class L2Controller:
         self._pending: Dict[int, _Pending] = {}
         self._si_pending: Set[int] = set()
         self._si_drainer: Optional[Process] = None
-        self.tracer = fabric.tracer
         #: observability spine probes + push-metric handles (all None when
         #: the machine was built without a spine / with metrics off)
         obs = engine.obs

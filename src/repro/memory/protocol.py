@@ -89,12 +89,10 @@ class CoherenceFabric:
     """Distributed directory + interconnect for one simulated machine."""
 
     def __init__(self, engine: Engine, config: MachineConfig,
-                 space: AddressSpace, tracer=None):
+                 space: AddressSpace):
         self.engine = engine
         self.config = config
         self.space = space
-        from repro.sim import NULL_TRACER
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: fault injector, if one was installed before machine assembly
         self.faults = engine.faults
         #: observability spine (repro.obs), if one was installed before

@@ -1,9 +1,4 @@
-"""Observability spine: one attachment point for tracing, metrics, hooks.
-
-Three generations of instrumentation used to coexist — the bounded
-:class:`~repro.sim.trace.Tracer`, the checker/fault hook pairs on the
-engine, and ad-hoc counters hand-threaded through the memory, slipstream,
-and stats layers.  This package unifies them behind a single spine:
+"""Observability spine: one attachment point for events, metrics, exporters.
 
 * :class:`~repro.obs.bus.ObsBus` — the typed event bus.  Components hold
   :class:`~repro.obs.bus.Probe` objects (or ``None``, the zero-overhead
@@ -15,14 +10,9 @@ and stats layers.  This package unifies them behind a single spine:
 * exporters (:mod:`repro.obs.export`) — Chrome/Perfetto trace JSON for
   timelines, flat JSON/CSV for metrics.
 
-:class:`Observability` bundles the three and is the *only* thing that
-hangs off the engine (``engine.obs``).  The legacy channels attach
-through it: ``Engine.install_checker``/``install_faults`` now route here
-(still mirroring onto ``engine.checker``/``engine.faults`` so every
-existing ``is None`` hook site is untouched), and the legacy ``Tracer``
-rides along as a thin bus subscriber restricted to the event categories
-it historically recorded — its API, counts, and ring contents are
-unchanged.
+:class:`Observability` bundles the three and is what hangs off the
+engine (``engine.obs``).  The invariant checker's recent-event context
+(:mod:`repro.check`) is one more bus subscriber.
 
 The zero-overhead contract, restated: a machine built without a spine
 has ``engine.obs is None``; components then hold ``None`` probes and an
@@ -43,14 +33,6 @@ from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.trace import (NOOP_SPAN, Span, SpanContext, Tracer,
                              current_scope, trace_scope)
 
-#: the event categories the pre-spine Tracer recorded; the legacy tracer
-#: subscription is restricted to these so traced/checked runs see exactly
-#: the event stream (and ring contents) they always did
-LEGACY_TRACE_CATEGORIES = (
-    "txn", "migratory", "intervention", "si-hint",
-    "si-inval", "si-downgrade",
-    "recovery", "adapt", "demote", "promote", "corrupt")
-
 
 class Observability:
     """Bus + registry + exporters for one simulated machine.
@@ -62,20 +44,13 @@ class Observability:
     fault hooks always have.
     """
 
-    def __init__(self, engine, metrics: bool = False,
-                 run_label: str = "repro"):
+    def __init__(self, engine, metrics: bool = False):
         self.engine = engine
-        self.run_label = run_label
         self.bus = ObsBus(engine)
         self.registry = MetricsRegistry()
         #: push-style metrics enabled: hot components create registry
         #: handles at construction and feed them inline
         self.metrics_on = metrics
-        #: the attached legacy channels (None until attached)
-        self.tracer = None
-        self.checker = None
-        self.faults = None
-        self.exporters = []
 
     # ------------------------------------------------------------------
     # Bus facade
@@ -95,56 +70,14 @@ class Observability:
         self.bus.unsubscribe(fn)
 
     # ------------------------------------------------------------------
-    # Legacy-channel attachment
-    # ------------------------------------------------------------------
-    def attach_tracer(self, tracer,
-                      categories: Optional[Iterable[str]] =
-                      LEGACY_TRACE_CATEGORIES):
-        """Subscribe a legacy :class:`~repro.sim.trace.Tracer`.
-
-        By default the subscription is restricted to the categories the
-        tracer historically recorded, so its counts and bounded ring stay
-        identical to the pre-spine behaviour; pass ``categories=None`` to
-        feed it everything.
-        """
-        self.tracer = tracer
-        self.bus.subscribe(tracer.on_event, categories)
-        return tracer
-
-    def attach_checker(self, checker):
-        """Attach an invariant-checker suite; mirrors onto
-        ``engine.checker`` so the existing hook sites keep working."""
-        self.checker = checker
-        self.engine.checker = checker
-        return checker
-
-    def attach_faults(self, injector):
-        """Attach a fault injector; mirrors onto ``engine.faults``."""
-        self.faults = injector
-        self.engine.faults = injector
-        return injector
-
-    # ------------------------------------------------------------------
     # Exporters
     # ------------------------------------------------------------------
-    def add_perfetto(self, run_label: Optional[str] = None) -> PerfettoExporter:
+    def add_perfetto(self, run_label: str = "repro") -> PerfettoExporter:
         """Attach (and return) a Chrome/Perfetto trace exporter that will
         capture every event published from this point on."""
-        exporter = PerfettoExporter(run_label or self.run_label)
+        exporter = PerfettoExporter(run_label)
         self.bus.subscribe(exporter.on_event)
-        self.exporters.append(exporter)
         return exporter
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    def collect(self) -> MetricsRegistry:
-        """Run the registry's pull-style collectors; returns the registry."""
-        return self.registry.collect()
-
-    def flat_metrics(self) -> dict:
-        """Collect, then export every series as a flat mapping."""
-        return self.collect().flat()
 
     def __repr__(self) -> str:
         return (f"<Observability metrics={'on' if self.metrics_on else 'off'} "
@@ -155,7 +88,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LEGACY_TRACE_CATEGORIES",
     "MetricsRegistry",
     "NOOP_SPAN",
     "ObsBus",

@@ -13,11 +13,11 @@ subscribers.
 
 Subscribers receive ``(time, category, subject, detail, args)`` where
 ``args`` is the probe call's keyword dict (structured payload for the
-Perfetto exporter; the legacy :class:`~repro.sim.trace.Tracer` adapter
-ignores it).  Subscribing is cheap at any point: probes hold a tuple of
-their current subscribers, and the bus refreshes those tuples whenever
-the subscription set changes, so late subscribers see every event from
-the moment they attach.
+Perfetto exporter; the checker's recent-event context ignores it).
+Subscribing is cheap at any point: probes hold a tuple of their current
+subscribers, and the bus refreshes those tuples whenever the
+subscription set changes, so late subscribers see every event from the
+moment they attach.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ class ObsBus:
         self._global: List[Subscriber] = []
         #: subscribers to specific categories
         self._by_category: Dict[str, List[Subscriber]] = {}
-        #: events delivered (sum over probes; maintained lazily for tests)
-        self.published = 0
 
     # ------------------------------------------------------------------
     # Producer side
@@ -125,9 +123,6 @@ class ObsBus:
     def _refresh_all(self) -> None:
         for probe in self._probes.values():
             self._refresh(probe)
-
-    def categories(self) -> List[str]:
-        return sorted(self._probes)
 
     def __repr__(self) -> str:
         return (f"<ObsBus probes={len(self._probes)} "

@@ -1,4 +1,4 @@
-"""Pull-style collectors and subscribers bridging components to the spine.
+"""Pull-style collectors bridging components to the spine.
 
 The simulator's components keep plain attribute counters on their hot
 paths (``fabric.transactions``, ``cache.hits``, ...) — the cheapest
@@ -13,19 +13,13 @@ registry, so those numbers now have a single source of truth — the same
 series the flat metrics export carries — while staying value-identical
 to the dicts the driver used to assemble by hand (the golden end-state
 tests pin them).
-
-Finally, :class:`BreakdownSubscriber` reconstructs per-processor
-:class:`~repro.stats.timebreakdown.TimeBreakdown` wait accounting from
-``cpu.wait`` bus events — the subscriber path that lets external tools
-observe Figure 6 categories without reaching into processor objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 from repro.obs.registry import MetricsRegistry
-from repro.stats.timebreakdown import TimeBreakdown
 
 #: fabric attributes exported 1:1 as unlabeled ``fabric.*`` counters
 _FABRIC_COUNTERS = (
@@ -169,44 +163,3 @@ def fabric_stats_from(registry: MetricsRegistry) -> Dict[str, int]:
         "net_retries": registry.sum("ctrl.net_retries"),
         "watchdog_trips": registry.sum("ctrl.watchdog_trips"),
     }
-
-
-# ----------------------------------------------------------------------
-# Subscriber-path time-breakdown reconstruction
-# ----------------------------------------------------------------------
-class BreakdownSubscriber:
-    """Rebuild per-processor wait accounting from ``cpu.wait`` events.
-
-    Processors emit one event per non-zero wait: subject is the processor
-    name, ``bucket`` the Figure 6 category (stall/barrier/lock/arsync),
-    ``cycles`` the charge.  Busy time is accumulated inline (never
-    evented), so the reconstruction covers the four wait categories —
-    which is the point: an external consumer gets the stall profile
-    without touching processor objects.
-    """
-
-    CATEGORIES = ("stall", "barrier", "lock", "arsync")
-
-    def __init__(self) -> None:
-        self.breakdowns: Dict[str, TimeBreakdown] = {}
-
-    def on_event(self, time: int, category: str, subject: str,
-                 detail: str, args: dict) -> None:
-        bucket = args.get("bucket")
-        if bucket is None:
-            return
-        breakdown = self.breakdowns.get(subject)
-        if breakdown is None:
-            breakdown = self.breakdowns[subject] = TimeBreakdown()
-        breakdown.add(bucket, args.get("cycles", 0))
-
-    def attach(self, obs) -> "BreakdownSubscriber":
-        """Subscribe to the spine's ``cpu.wait`` category."""
-        obs.subscribe(self.on_event, categories=("cpu.wait",))
-        return self
-
-    def breakdown(self, subject: str) -> TimeBreakdown:
-        return self.breakdowns.get(subject, TimeBreakdown())
-
-    def subjects(self) -> Iterable[str]:
-        return sorted(self.breakdowns)

@@ -1,12 +1,16 @@
 """Exporters: Chrome/Perfetto trace JSON and flat metrics files.
 
-:class:`PerfettoExporter` is a bus subscriber that turns the event
-stream into the Chrome Trace Event format (the JSON flavour Perfetto's
-https://ui.perfetto.dev loads directly).  Simulated cycles map 1:1 onto
-trace-clock microseconds — Perfetto's timeline then reads directly in
-cycles.
+:class:`ChromeTrace` is the one Chrome Trace Event writer (the JSON
+flavour Perfetto's https://ui.perfetto.dev loads directly): the
+envelope, one pid per named process, one tid per named thread within
+it, the name metadata, and the file write.  Both trace producers render
+through it — :class:`PerfettoExporter` (one simulated machine's bus
+events, in simulated cycles) and :meth:`repro.obs.trace.Tracer.to_perfetto`
+(request spans, in wall-clock microseconds).
 
-Event mapping:
+:class:`PerfettoExporter` is a bus subscriber.  Simulated cycles map 1:1
+onto trace-clock microseconds — Perfetto's timeline then reads directly
+in cycles.  Event mapping:
 
 * a plain probe call becomes an *instant* event (``ph: "i"``) on the
   track named by its subject (``node3``, ``pair0``, ...);
@@ -19,48 +23,98 @@ Event mapping:
 * remaining keyword args are attached under ``args`` and show in the
   Perfetto detail pane.
 
-Tracks: one process (pid 0, named after the run) with one thread per
-distinct subject, in order of first appearance; thread-name metadata
-events label them.
+Tracks: one process (pid 1, named after the run) with one thread per
+distinct subject, in order of first appearance.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 #: reserved probe-arg keys interpreted by the exporter
 DUR_KEY = "_dur"
 COUNTER_KEY = "_counter"
 
 
+class ChromeTrace:
+    """Chrome-trace layout: named processes and threads, events, JSON.
+
+    Processes get pids 1, 2, ... and threads tids 1, 2, ... within their
+    process, in order of first appearance; each first appearance adds a
+    ``process_name``/``thread_name`` metadata event.
+    """
+
+    def __init__(self) -> None:
+        self.metadata: List[dict] = []
+        self.events: List[dict] = []
+        self._pids: Dict[str, int] = {}
+        self._tids: Dict[str, Dict[str, int]] = {}
+
+    def pid(self, process: str) -> int:
+        pid = self._pids.get(process)
+        if pid is None:
+            pid = self._pids[process] = len(self._pids) + 1
+            self._tids[process] = {}
+            self.metadata.append({"name": "process_name", "ph": "M",
+                                  "pid": pid, "tid": 0,
+                                  "args": {"name": process}})
+        return pid
+
+    def thread(self, process: str, name: str) -> Tuple[int, int]:
+        """``(pid, tid)`` of thread ``name`` within ``process``."""
+        pid = self.pid(process)
+        threads = self._tids[process]
+        tid = threads.get(name)
+        if tid is None:
+            tid = threads[name] = len(threads) + 1
+            self.metadata.append({"name": "thread_name", "ph": "M",
+                                  "pid": pid, "tid": tid,
+                                  "args": {"name": name}})
+        return pid, tid
+
+    def as_dict(self, other_data: dict) -> dict:
+        return {
+            "displayTimeUnit": "ms",
+            "otherData": other_data,
+            "traceEvents": self.metadata + self.events,
+        }
+
+
+def write_trace(doc: dict, path: Union[str, Path]) -> Path:
+    """Write a Chrome-trace dict as one line of JSON."""
+    path = Path(path)
+    path.write_text(json.dumps(doc) + "\n")
+    return path
+
+
 class PerfettoExporter:
-    """Bus subscriber accumulating Chrome-trace events."""
+    """Bus subscriber accumulating one machine's events as a Chrome trace."""
 
     def __init__(self, run_label: str = "repro"):
         self.run_label = run_label
-        self.events: List[dict] = []
-        self._tids: Dict[str, int] = {}
+        self.trace = ChromeTrace()
+        self.trace.pid(run_label)
 
     # ------------------------------------------------------------------
     # Bus subscriber entry point
     # ------------------------------------------------------------------
     def on_event(self, time: int, category: str, subject: str,
                  detail: str, args: dict) -> None:
-        tid = self._tid(subject)
+        pid, tid = self.trace.thread(self.run_label, subject)
         if COUNTER_KEY in args:
             samples = args[COUNTER_KEY]
-            self.events.append({
+            self.trace.events.append({
                 "name": category, "ph": "C", "ts": time,
-                "pid": 0, "tid": tid, "args": dict(samples)})
+                "pid": pid, "tid": tid, "args": dict(samples)})
             return
         payload = {k: v for k, v in args.items() if k != DUR_KEY}
         if detail:
             payload["detail"] = detail
         event = {
             "name": category, "cat": category, "ts": time,
-            "pid": 0, "tid": tid, "args": payload}
+            "pid": pid, "tid": tid, "args": payload}
         dur = args.get(DUR_KEY)
         if dur is not None:
             event["ph"] = "X"
@@ -69,38 +123,21 @@ class PerfettoExporter:
         else:
             event["ph"] = "i"
             event["s"] = "t"  # thread-scoped instant
-        self.events.append(event)
-
-    def _tid(self, subject: str) -> int:
-        tid = self._tids.get(subject)
-        if tid is None:
-            tid = len(self._tids) + 1
-            self._tids[subject] = tid
-        return tid
+        self.trace.events.append(event)
 
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
-        metadata = [{"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
-                     "args": {"name": self.run_label}}]
-        for subject, tid in sorted(self._tids.items(), key=lambda kv: kv[1]):
-            metadata.append({"name": "thread_name", "ph": "M", "pid": 0,
-                             "tid": tid, "args": {"name": subject}})
-        return {
-            "displayTimeUnit": "ms",
-            "otherData": {"producer": "repro.obs",
-                          "clock": "simulated cycles (1 cycle = 1 us)"},
-            "traceEvents": metadata + self.events,
-        }
+        return self.trace.as_dict(
+            {"producer": "repro.obs",
+             "clock": "simulated cycles (1 cycle = 1 us)"})
 
     def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.as_dict()) + "\n")
-        return path
+        return write_trace(self.as_dict(), path)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.trace.events)
 
 
 #: phases every consumer of our traces may rely on

@@ -20,9 +20,10 @@ model is the Dapper one:
   a context-manager span; finished spans accumulate on the tracer, and
   :meth:`Tracer.adopt` merges spans that finished in *another* process
   (shipped home as dicts).  :meth:`Tracer.to_perfetto` renders the
-  merged set as one Chrome-trace file — service wall-clock tracks and
-  per-worker tracks side by side — that
-  :func:`repro.obs.export.validate_perfetto` accepts.
+  merged set through the shared :class:`repro.obs.export.ChromeTrace`
+  writer as one file — service wall-clock tracks and per-worker tracks
+  side by side — that :func:`repro.obs.export.validate_perfetto`
+  accepts.
 
 Zero-overhead contract, same as the bus: components hold a tracer *or*
 ``None``, and an instrumented call site costs one ``is None`` test when
@@ -42,11 +43,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import json
 import os
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.obs.export import ChromeTrace, write_trace
 
 
 def _now_us() -> int:
@@ -295,40 +297,15 @@ class Tracer:
         """
         spans = [span for span in self.finished if span.end_us is not None]
         t0 = min((span.start_us for span in spans), default=0)
-        pids: Dict[str, int] = {}
-        tids: Dict[Tuple[str, str], int] = {}
-        metadata: List[dict] = []
-        events: List[dict] = []
-
-        def pid_of(track: str) -> int:
-            pid = pids.get(track)
-            if pid is None:
-                pid = len(pids) + 1
-                pids[track] = pid
-                metadata.append({"name": "process_name", "ph": "M",
-                                 "pid": pid, "tid": 0,
-                                 "args": {"name": track}})
-            return pid
-
-        def tid_of(track: str, trace_id: str) -> int:
-            key = (track, trace_id)
-            tid = tids.get(key)
-            if tid is None:
-                tid = sum(1 for t, _ in tids if t == track) + 1
-                tids[key] = tid
-                metadata.append({"name": "thread_name", "ph": "M",
-                                 "pid": pid_of(track), "tid": tid,
-                                 "args": {"name": f"trace {trace_id}"}})
-            return tid
-
+        trace = ChromeTrace()
         for span in sorted(spans, key=lambda s: s.start_us):
-            pid = pid_of(span.track)
-            tid = tid_of(span.track, span.context.trace_id)
+            pid, tid = trace.thread(span.track,
+                                    f"trace {span.context.trace_id}")
             args: Dict[str, object] = dict(span.attrs)
             args.update(span.context.to_dict())
             if span.links:
                 args["links"] = [link.to_dict() for link in span.links]
-            events.append({
+            trace.events.append({
                 "name": span.name, "cat": span.name, "ph": "X",
                 "ts": span.start_us - t0,
                 "dur": max(0, span.end_us - span.start_us),
@@ -337,23 +314,17 @@ class Tracer:
                 event_args = dict(attrs)
                 event_args["span"] = span.name
                 event_args["trace_id"] = span.context.trace_id
-                events.append({
+                trace.events.append({
                     "name": name, "cat": f"{span.name}.event", "ph": "i",
                     "s": "t", "ts": max(0, ts - t0),
                     "pid": pid, "tid": tid, "args": event_args})
-        return {
-            "displayTimeUnit": "ms",
-            "otherData": {"producer": "repro.obs.trace",
-                          "run": run_label or self.run_label,
-                          "clock": "monotonic microseconds"},
-            "traceEvents": metadata + events,
-        }
+        return trace.as_dict({"producer": "repro.obs.trace",
+                              "run": run_label or self.run_label,
+                              "clock": "monotonic microseconds"})
 
     def write(self, path: Union[str, Path],
               run_label: Optional[str] = None) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_perfetto(run_label)) + "\n")
-        return path
+        return write_trace(self.to_perfetto(run_label), path)
 
     def __repr__(self) -> str:
         return f"<Tracer track={self.track} finished={len(self.finished)}>"

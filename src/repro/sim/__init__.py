@@ -18,19 +18,14 @@ reproducible.
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.process import Process, Timeout
 from repro.sim.resources import Resource, Signal, SimEvent, SimSemaphore
-from repro.sim.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
     "DeadlockError",
     "Engine",
-    "NULL_TRACER",
-    "NullTracer",
     "Process",
     "Resource",
     "Signal",
     "SimEvent",
     "SimSemaphore",
     "Timeout",
-    "TraceEvent",
-    "Tracer",
 ]

@@ -68,23 +68,14 @@ class Engine:
         self.obs = obs
         return obs
 
-    def _ensure_obs(self):
-        if self.obs is None:
-            from repro.obs import Observability
-            self.install_obs(Observability(self))
-        return self.obs
-
     def install_checker(self, checker) -> None:
         """Attach an invariant-checker suite (``repro.check.CheckerSuite``).
 
         Must be called before the machine components are constructed —
         the fabric, L2 controllers, and slipstream pairs capture the
-        checker reference at construction time.  Attachment routes
-        through the observability spine (created on demand), which
-        mirrors the checker back onto ``engine.checker`` so the hook
-        sites stay a single ``is None`` test.
+        checker reference at construction time.
         """
-        self._ensure_obs().attach_checker(checker)
+        self.checker = checker
 
     def install_faults(self, injector) -> None:
         """Attach a fault injector (``repro.faults.FaultInjector``).
@@ -92,9 +83,8 @@ class Engine:
         Like :meth:`install_checker`, this must happen before the machine
         components are constructed — the network, fabric, processors, and
         slipstream pairs capture the injector reference at construction.
-        Routes through the observability spine like the checker.
         """
-        self._ensure_obs().attach_faults(injector)
+        self.faults = injector
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -287,17 +287,17 @@ class AStreamExecutor(TaskExecutor):
         """Wait (under A-R sync accounting) for the R-stream's result."""
         seq = self._next_input_seq()
         event = self.pair.input_event(seq)
-        yield from self.processor.flush()
-        start = self.processor.engine.now
+        yield from self.processor.timed_wait(self._poll_input(event),
+                                             "arsync")
+        if event.triggered:
+            self.ctx.inputs[operation.key] = event.value
+            self.processor.do_compute(1)
+
+    def _poll_input(self, event) -> Generator:
         # Poll rather than block: a deviated A-stream must stay killable
         # even while waiting for a forwarded input.
         while not event.triggered and not self.pair.abort_requested:
             yield Timeout(self.pair.config.input_forward_cycles)
-        self.processor.breakdown.add(
-            "arsync", self.processor.engine.now - start)
-        if event.triggered:
-            self.ctx.inputs[operation.key] = event.value
-            self.processor.do_compute(1)
 
     def _next_input_seq(self) -> int:
         seq = self._input_seq

@@ -12,6 +12,7 @@ import pytest
 from repro.check import (CheckerSuite, InvariantViolation,
                          directory_entry_errors, token_accounting_errors,
                          token_lead_bound, token_lead_errors)
+from repro.check.suite import CONTEXT_EVENTS
 from repro.config import scaled_config
 from repro.machine.system import System
 from repro.memory.cache import CacheLine, MODIFIED, SHARED as L2_SHARED
@@ -133,6 +134,29 @@ def test_astream_store_commit_detected():
         system.checker.on_store(0, "A")
     assert excinfo.value.check == "slipstream"
     system.checker.on_store(0, "R")  # R-stream stores are fine
+
+
+def test_violation_carries_recent_context_events():
+    system = checked_system()
+    system.obs.publish("txn", "node0", "read line=0x40")
+    system.obs.publish("cpu.wait", "cpu[0.0]", bucket="stall", cycles=5)
+    with pytest.raises(InvariantViolation) as excinfo:
+        system.checker.on_store(0, "A")
+    assert excinfo.value.events == ((0, "txn", "node0", "read line=0x40"),)
+    assert "txn          node0 read line=0x40" in str(excinfo.value)
+
+
+def test_violation_context_keeps_the_last_events():
+    system = checked_system()
+    engine = system.engine
+    for cycle in range(1, CONTEXT_EVENTS + 4):
+        engine.schedule(cycle, lambda: system.obs.publish("recovery",
+                                                          "pair0"))
+    engine.run()
+    with pytest.raises(InvariantViolation) as excinfo:
+        system.checker.on_store(0, "A")
+    times = [event[0] for event in excinfo.value.events]
+    assert times == list(range(4, CONTEXT_EVENTS + 4))
 
 
 def test_transparent_modified_fill_detected():

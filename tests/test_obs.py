@@ -8,18 +8,16 @@ import json
 import pytest
 
 from repro.config import MachineConfig
+from repro.experiments import driver
 from repro.experiments.driver import RunResult, run_mode
 from repro.machine.system import System
-from repro.obs import (LEGACY_TRACE_CATEGORIES, MetricsRegistry,
-                       Observability, PerfettoExporter, series_name,
-                       validate_perfetto, write_metrics_csv,
+from repro.obs import (MetricsRegistry, Observability, PerfettoExporter,
+                       series_name, validate_perfetto, write_metrics_csv,
                        write_metrics_json)
-from repro.obs.collect import (BreakdownSubscriber, cache_totals_from,
-                               fabric_stats_from, run_registry)
-from repro.runtime.executor import TaskExecutor
-from repro.runtime.sync import SyncRegistry
-from repro.runtime.task import ROLE_NORMAL, TaskContext
-from repro.sim import Engine, Tracer
+from repro.obs.collect import (cache_totals_from, fabric_stats_from,
+                               run_registry)
+from repro.sim import Engine
+from repro.workloads import Fuzz
 from repro.workloads.sor import SOR
 
 
@@ -93,52 +91,16 @@ def test_probe_is_cached_per_category(engine):
 
 
 # ----------------------------------------------------------------------
-# Legacy tracer as a bus subscriber
+# Engine hooks
 # ----------------------------------------------------------------------
-def test_tracer_rides_the_bus(engine):
-    obs = Observability(engine)
-    tracer = Tracer(engine)
-    obs.attach_tracer(tracer)
-    engine.schedule(7, lambda: obs.publish(
-        "txn", "node0", "read line=0x40", kind="read"))
-    engine.run()
-    event = tracer.last("txn")
-    assert event.time == 7
-    assert event.subject == "node0"
-    assert event.detail == "read line=0x40"   # args dropped, detail kept
-
-
-def test_tracer_subscription_is_category_restricted(engine):
-    obs = Observability(engine)
-    tracer = Tracer(engine)
-    obs.attach_tracer(tracer)
-    obs.publish("txn", "node0")                 # legacy category
-    obs.publish("cpu.wait", "cpu[0.0]")         # spine-only category
-    assert tracer.counts["txn"] == 1
-    assert "cpu.wait" not in tracer.counts
-    for category in ("txn", "recovery", "adapt", "si-inval", "corrupt"):
-        assert category in LEGACY_TRACE_CATEGORIES
-
-
-def test_checker_and_faults_attach_mirrors_engine(engine):
-    sentinel_checker = object()
-    sentinel_faults = object()
-    obs = Observability(engine)
-    engine.install_obs(obs)
-    obs.attach_checker(sentinel_checker)
-    obs.attach_faults(sentinel_faults)
-    assert engine.checker is sentinel_checker
-    assert engine.faults is sentinel_faults
-
-
-def test_engine_install_checker_creates_spine():
+def test_engine_install_checker_and_faults_set_hooks():
     engine = Engine()
-    assert engine.obs is None
-    sentinel = object()
-    engine.install_checker(sentinel)
-    assert engine.obs is not None
-    assert engine.checker is sentinel
-    assert engine.obs.checker is sentinel
+    checker, faults = object(), object()
+    engine.install_checker(checker)
+    engine.install_faults(faults)
+    assert engine.checker is checker
+    assert engine.faults is faults
+    assert engine.obs is None          # no spine is created on demand
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +203,7 @@ def test_exporter_event_mapping(engine, tmp_path):
         "ar.lead", "pair0", _counter={"lead": 2}))
     engine.run()
     assert len(exporter) == 3
-    instant, span, counter = exporter.events
+    instant, span, counter = exporter.trace.events
     assert instant["ph"] == "i" and instant["ts"] == 100
     assert instant["args"] == {"kind": "read", "detail": "read"}
     assert span["ph"] == "X" and span["dur"] == 50 and span["ts"] == 200
@@ -251,6 +213,7 @@ def test_exporter_event_mapping(engine, tmp_path):
     names = {e["tid"]: e["args"]["name"] for e in data["traceEvents"]
              if e["ph"] == "M" and e["name"] == "thread_name"}
     assert names == {1: "node0", 2: "node1", 3: "pair0"}
+    assert {e["pid"] for e in data["traceEvents"]} == {1}   # one process
     path = exporter.write(tmp_path / "trace.json")
     summary = validate_perfetto(path)
     assert summary["events"] == 3
@@ -286,23 +249,27 @@ def test_machine_without_spine_holds_none_probes():
     assert system.nodes[0].processors[0]._p_wait is None
 
 
-def test_traced_machine_captures_live_probes():
-    system = System(small_cfg(), trace=True)
+def test_checked_machine_captures_live_probes():
+    system = System(small_cfg(), check=True)
     assert system.engine.obs is system.obs
-    assert system.obs.tracer is system.tracer
-    assert system.fabric._p_txn.live          # tracer subscribes to txn
-    assert not system.fabric._p_txn._subs == ()  # sanity: tuple populated
-    assert not system.nodes[0].ctrl._p_fill.live  # spine-only category
+    assert system.fabric._p_txn.live   # a checker context category
+    # per-access categories stay dead, so checking does not pay for them
+    assert not system.nodes[0].ctrl._p_fill.live
+    assert not system.nodes[0].processors[0]._p_wait.live
 
 
 # ----------------------------------------------------------------------
 # Run-level invariance: spine attached vs detached
 # ----------------------------------------------------------------------
-def test_observed_run_is_cycle_identical():
+def test_observed_run_is_cycle_identical(tmp_path):
     base = run_mode(workload(), small_cfg(), "slipstream",
                     transparent=True, si=True)
+    trace_path = tmp_path / "run.json"
     observed = run_mode(workload(), small_cfg(), "slipstream",
-                        transparent=True, si=True, trace=True, metrics=True)
+                        transparent=True, si=True, metrics=True,
+                        trace_out=str(trace_path))
+    summary = validate_perfetto(trace_path)
+    assert {"txn", "cpu.wait", "ar.lead"} <= set(summary["categories"])
     assert observed.exec_cycles == base.exec_cycles
     assert observed.cache_totals == base.cache_totals
     assert observed.fabric_stats == base.fabric_stats
@@ -355,45 +322,34 @@ def test_run_result_metrics_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# Time-breakdown reconstruction through the subscriber path
+# Figure 6 cross-check: cpu.wait events vs the processors' TimeBreakdown
 # ----------------------------------------------------------------------
-def test_breakdown_subscriber_unit(engine):
-    obs = Observability(engine)
-    sub = BreakdownSubscriber().attach(obs)
-    obs.publish("cpu.wait", "cpu[0.0]", bucket="stall", cycles=120)
-    obs.publish("cpu.wait", "cpu[0.0]", bucket="barrier", cycles=30)
-    obs.publish("cpu.wait", "cpu[0.1]", bucket="arsync", cycles=7)
-    obs.publish("cpu.wait", "cpu[0.0]", detail="no bucket")   # ignored
-    obs.publish("other", "cpu[0.0]", bucket="stall", cycles=9)  # filtered
-    assert sub.subjects() == ["cpu[0.0]", "cpu[0.1]"]
-    assert sub.breakdown("cpu[0.0]").stall == 120
-    assert sub.breakdown("cpu[0.0]").barrier == 30
-    assert sub.breakdown("cpu[0.1]").arsync == 7
-    assert sub.breakdown("cpu[9.9]").total == 0
+WAIT_CATEGORIES = ("stall", "barrier", "lock", "arsync")
 
 
-def test_breakdown_subscriber_reconstructs_real_run():
-    """An external subscriber rebuilds every processor's wait accounting
-    exactly (busy excluded: it is accumulated inline, never evented)."""
-    config = small_cfg()
-    system = System(config, classify_requests=False, observe=True)
-    sub = BreakdownSubscriber().attach(system.obs)
-    n_tasks = config.n_cmps
-    registry = SyncRegistry(system.engine, config, n_tasks)
-    wl = workload()
-    wl.allocate(system.allocator, n_tasks, lambda tid: tid % config.n_cmps)
-    processors = []
-    for task_id in range(n_tasks):
-        processor = system.nodes[task_id].processor(0)
-        processors.append(processor)
-        ctx = TaskContext(task_id, n_tasks, role=ROLE_NORMAL)
-        TaskExecutor(processor, ctx, wl.program(ctx), registry).start()
-    system.run()
-    assert any(p.breakdown.stall for p in processors)
-    assert any(p.breakdown.barrier for p in processors)
+def test_cpu_wait_events_match_time_breakdown(monkeypatch):
+    """Summing a slipstream run's ``cpu.wait`` events per processor
+    reproduces every wait category of its TimeBreakdown, R- and
+    A-streams alike (busy is accumulated inline, never evented)."""
+    waits = {}
+    systems = []
+
+    def on_wait(time, category, subject, detail, args):
+        key = (subject, args["bucket"])
+        waits[key] = waits.get(key, 0) + args["cycles"]
+
+    class ObservedSystem(System):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **dict(kwargs, observe=True))
+            self.obs.subscribe(on_wait, categories=("cpu.wait",))
+            systems.append(self)
+
+    monkeypatch.setattr(driver, "System", ObservedSystem)
+    driver.run_mode(Fuzz(seed=7), small_cfg(), "slipstream")
+    processors = [proc for node in systems[0].nodes
+                  for proc in node.processors]
+    assert {bucket for _, bucket in waits} == set(WAIT_CATEGORIES)
     for processor in processors:
-        rebuilt = sub.breakdown(processor.name)
-        actual = processor.breakdown
-        for category in BreakdownSubscriber.CATEGORIES:
-            assert getattr(rebuilt, category) == getattr(actual, category)
-        assert rebuilt.busy == 0
+        for category in WAIT_CATEGORIES:
+            assert waits.get((processor.name, category), 0) == \
+                getattr(processor.breakdown, category)

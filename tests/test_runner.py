@@ -172,6 +172,9 @@ def test_batch_stats_merge_and_summary():
     assert merged.total == 5 and merged.jobs == 4
     assert merged.speedup == pytest.approx(2.0)
     assert "5 runs requested" in merged.summary()
+    # `unique` counts memo hits too: they are not deduplicated again
+    assert "1 memoized, 1 deduplicated in-batch" in BatchStats(
+        total=3, unique=2, memo_hits=1, executed=1).summary()
 
 
 def test_figures_share_runs_through_the_module_runner(monkeypatch):
@@ -248,11 +251,3 @@ def test_runresult_roundtrip_restores_int_policy_keys():
     revived = RunResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert revived.final_policies == {0: "G1", 1: "L0"}
     assert revived.task_breakdowns[0].busy == 5
-
-
-def test_runresult_roundtrip_drops_tracer():
-    result = RunResult(workload="sor", mode=SINGLE, n_cmps=2,
-                       exec_cycles=1, tracer=object())
-    data = result.to_dict()
-    assert "tracer" not in data
-    assert RunResult.from_dict(data).tracer is None
