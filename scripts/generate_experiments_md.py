@@ -164,8 +164,8 @@ def main() -> None:
     w(md_table(("parameter", "paper", "measured/configured"), rows))
     w("")
     w("The 170-cycle local and 290-cycle remote minimum miss latencies "
-      "are asserted against the protocol in "
-      "`benchmarks/bench_table1_latency.py` and `tests/test_protocol.py`.")
+      "are asserted against the protocol in `tests/test_protocol.py` and "
+      "`tests/test_proto.py`.")
     w("")
 
     # Table 2

@@ -13,10 +13,10 @@
 from repro.experiments.driver import (MODES, RunResult, run_mode,
                                       sequential_baseline)
 from repro.experiments.claims import CLAIMS, check_all
-from repro.experiments.runner import Runner, RunSpec, run_batch
+from repro.experiments.runner import Runner, RunSpec
 from repro.experiments.cache import ResultCache
-from repro.experiments.sensitivity import slipstream_benefit, sweep
+from repro.experiments.sensitivity import sweep
 
 __all__ = ["CLAIMS", "MODES", "ResultCache", "RunResult", "RunSpec",
-           "Runner", "check_all", "run_batch", "run_mode",
-           "sequential_baseline", "slipstream_benefit", "sweep"]
+           "Runner", "check_all", "run_mode", "sequential_baseline",
+           "sweep"]

@@ -265,6 +265,8 @@ def _run_experiments(args, workloads, cmps) -> int:
     todo = (["table1", "table2", "fig1", "fig4", "fig5", "fig6", "fig7",
              "fig9", "fig10"] if args.experiment == "all"
             else [args.experiment])
+    # Figures 9 and 10 cover the Section 4 kernels unless asked otherwise.
+    section4 = workloads if args.workloads else figures.SECTION4_WORKLOADS
     for experiment in todo:
         if experiment == "table1":
             data = figures.table1()
@@ -295,11 +297,11 @@ def _run_experiments(args, workloads, cmps) -> int:
             printable = _flatten_fig7(data)
             title = "Figure 7: shared-data request classification"
         elif experiment == "fig9":
-            data = figures.figure9()
+            data = figures.figure9(section4)
             printable = data
             title = "Figure 9: transparent-load breakdown (% of A reads)"
         else:  # fig10
-            data = figures.figure10()
+            data = figures.figure10(section4)
             printable = data
             title = "Figure 10: transparent loads + self-invalidation"
         if args.json:

@@ -15,13 +15,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
+
+from repro.experiments.figures import COMPARISON_CMPS
 
 #: benchmarks the paper says slipstream wins at 16 CMPs (we exclude FFT:
 #: see EXPERIMENTS.md deviation #2)
 EXPECTED_WINS = ("cg", "mg", "ocean", "sor", "sp", "water-ns")
+#: Figure 4's groups: keep scaling through 16 CMPs / diminishing returns
 SCALING_GROUP = ("water-sp", "lu", "sor")
-FFT_COMPARISON_CMPS = 4
+DIMINISHING_GROUP = ("water-ns", "ocean", "mg", "cg", "sp")
+#: kernels whose Figure 6 profile has little stall (double still wins)
+LOW_STALL = ("lu", "water-sp")
+#: kernels whose R-streams spend Figure 6 time in locks
+LOCK_KERNELS = ("cg", "water-ns")
+#: kernels whose Figure 7 exclusives show G0's store conversion
+TIGHT_SYNC = ("sor", "ocean")
 
 
 @dataclass(frozen=True)
@@ -36,7 +45,7 @@ class Claim:
         try:
             ok = bool(self.check(raw))
             detail = ""
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ZeroDivisionError) as exc:
             ok = False
             detail = f"missing data: {exc!r}"
         return ClaimResult(self, ok, detail)
@@ -57,44 +66,67 @@ class ClaimResult:
 # ----------------------------------------------------------------------
 # Predicate helpers over the raw-results dictionary
 # ----------------------------------------------------------------------
-def _fig5_cell(raw: Dict, name: str) -> Dict[str, float]:
-    n = FFT_COMPARISON_CMPS if name == "fft" else 16
-    return raw["fig5"][name][_k(raw["fig5"][name], n)]
-
-
 def _k(mapping: Dict, key: int):
     """JSON round-trips integer keys to strings; accept either."""
     return key if key in mapping else str(key)
+
+
+def _at(series: Dict, n: int):
+    """The entry for ``n`` CMPs of a series keyed by CMP count."""
+    return series[_k(series, n)]
+
+
+def _fig5_cell(raw: Dict, name: str) -> Dict[str, float]:
+    return _at(raw["fig5"][name], COMPARISON_CMPS[name])
 
 
 def _best_slip(cell: Dict[str, float]) -> float:
     return max(cell[p] for p in ("L1", "L0", "G1", "G0"))
 
 
+def _a_excl_share(kinds: Dict[str, Dict[str, float]]) -> float:
+    """A-Timely + A-Late share of one policy's exclusive requests."""
+    return kinds["excl"]["a_timely"] + kinds["excl"]["a_late"]
+
+
 # ----------------------------------------------------------------------
 # The claims
 # ----------------------------------------------------------------------
 def _claim_double_erodes(raw: Dict) -> bool:
-    """Fig 1: double's advantage shrinks from 2 to 16 CMPs for most kernels."""
+    """Fig 1: double's advantage shrinks from 2 to 16 CMPs for all but at
+    most one kernel, and always for SOR and Ocean."""
     fig1 = raw["fig1"]
-    eroding = sum(
-        fig1[name][_k(fig1[name], 16)] < fig1[name][_k(fig1[name], 2)]
-        for name in fig1)
-    return eroding >= len(fig1) - 1
+    eroding = {name for name in fig1
+               if _at(fig1[name], 16) < _at(fig1[name], 2)}
+    return len(eroding) >= len(fig1) - 1 and {"sor", "ocean"} <= eroding
+
+
+def _claim_double_below_ideal(raw: Dict) -> bool:
+    """Fig 1: at 16 CMPs no kernel reaches double's ideal 2x."""
+    return all(_at(series, 16) < 2.0 for series in raw["fig1"].values())
 
 
 def _claim_scaling_group(raw: Dict) -> bool:
     """Fig 4: Water-SP, LU, SOR keep improving through 16 CMPs."""
     fig4 = raw["fig4"]
     return all(
-        fig4[name][_k(fig4[name], 16)] > fig4[name][_k(fig4[name], 8)]
+        _at(fig4[name], 2) < _at(fig4[name], 8) < _at(fig4[name], 16)
+        and _at(fig4[name], 16) > 4.0
         for name in SCALING_GROUP)
 
 
+def _claim_diminishing_group(raw: Dict) -> bool:
+    """Fig 4: the 8->16 CMP step gains far less than the ideal 2x."""
+    fig4 = raw["fig4"]
+    return all(_at(fig4[name], 16) < 1.6 * _at(fig4[name], 8)
+               for name in DIMINISHING_GROUP)
+
+
 def _claim_fft_limited(raw: Dict) -> bool:
-    """Fig 4: FFT is communication-bound (speedup < 2 at 4 CMPs)."""
+    """Fig 4: FFT is communication-bound (speedup < 2 at 4 CMPs) and
+    flattens beyond 8 CMPs."""
     fig4 = raw["fig4"]["fft"]
-    return fig4[_k(fig4, 4)] < 2.0
+    return _at(fig4, 4) < 2.0 and _at(fig4, 16) < 1.5 * _at(fig4, 8)
 
 
 def _claim_slipstream_wins(raw: Dict) -> bool:
@@ -107,12 +139,18 @@ def _claim_slipstream_wins(raw: Dict) -> bool:
 
 
 def _claim_double_kernels(raw: Dict) -> bool:
-    """Fig 5: LU and Water-SP still favor double mode."""
-    for name in ("lu", "water-sp"):
+    """Fig 5: LU and Water-SP still favor double mode, and slipstream
+    roughly matches single mode on them."""
+    for name in LOW_STALL:
         cell = _fig5_cell(raw, name)
-        if cell["double"] <= _best_slip(cell):
+        if cell["double"] <= _best_slip(cell) or _best_slip(cell) <= 0.95:
             return False
     return True
+
+
+def _claim_fft_beats_single(raw: Dict) -> bool:
+    """Fig 5: slipstream clearly beats single mode on FFT at 4 CMPs."""
+    return _best_slip(_fig5_cell(raw, "fft")) > 1.05
 
 
 def _claim_no_consistent_winner(raw: Dict) -> bool:
@@ -143,19 +181,67 @@ def _claim_arsync_only_on_astream(raw: Dict) -> bool:
     return True
 
 
+def _claim_low_stall_kernels(raw: Dict) -> bool:
+    """Fig 6: LU and Water-SP spend under half of single mode in stalls."""
+    for name in LOW_STALL:
+        single = raw["fig6"][name]["S"]
+        if single["stall"] >= 0.5 * sum(single.values()):
+            return False
+    return True
+
+
+def _claim_locks_on_r_only(raw: Dict) -> bool:
+    """Fig 6: the A-stream skips locks; only the R-stream waits on them."""
+    return all(raw["fig6"][name]["A"]["lock"] == 0
+               and raw["fig6"][name]["R"]["lock"] > 0
+               for name in LOCK_KERNELS)
+
+
+def _claim_double_halves_busy(raw: Dict) -> bool:
+    """Fig 6: per-task busy time halves when the task count doubles."""
+    for bars in raw["fig6"].values():
+        half = bars["S"]["busy"] / 2
+        if abs(bars["D"]["busy"] - half) > 0.2 * half:
+            return False
+    return True
+
+
 def _claim_classification_partitions(raw: Dict) -> bool:
-    """Fig 7: the six request classes partition every benchmark's reads."""
+    """Fig 7: the six request classes partition every benchmark's reads
+    and exclusives."""
     for name, per_policy in raw["fig7"].items():
         for policy, kinds in per_policy.items():
-            total = sum(kinds["read"].values())
-            if total and abs(total - 1.0) > 1e-6:
-                return False
+            for kind in ("read", "excl"):
+                total = sum(kinds[kind].values())
+                if total and abs(total - 1.0) > 1e-6:
+                    return False
     return True
+
+
+def _claim_tight_sync_exclusive(raw: Dict) -> bool:
+    """Fig 7: stores convert to exclusive prefetches only within a
+    session, so tight G0 gets at least L1's A-share of exclusives."""
+    return all(_a_excl_share(raw["fig7"][name]["G0"])
+               >= _a_excl_share(raw["fig7"][name]["L1"])
+               for name in TIGHT_SYNC)
+
+
+def _claim_r_only_small(raw: Dict) -> bool:
+    """Fig 7: the A-stream references almost everything its R-stream
+    reads, so R-Only reads are rare (SOR under L1)."""
+    return raw["fig7"]["sor"]["L1"]["read"]["r_only"] < 0.2
 
 
 def _claim_transparent_loads_issued(raw: Dict) -> bool:
     """Fig 9: every Section 4 benchmark issues transparent loads."""
     return all(row["issued_pct"] > 0 for row in raw["fig9"].values())
+
+
+def _claim_issue_band(raw: Dict) -> bool:
+    """Fig 9: the mean issue rate sits in a generous band around the
+    paper's 19-45% (average 27%); our inputs are scaled."""
+    rates = [row["issued_pct"] for row in raw["fig9"].values()]
+    return 5.0 < sum(rates) / len(rates) < 80.0
 
 
 def _claim_tl_hurts_somewhere(raw: Dict) -> bool:
@@ -179,9 +265,15 @@ CLAIMS: List[Claim] = [
     Claim("fig1.double-erodes",
           "double-mode gains shrink as the CMP count grows",
           _claim_double_erodes),
+    Claim("fig1.double-below-ideal",
+          "double mode stays below its ideal 2x at 16 CMPs",
+          _claim_double_below_ideal),
     Claim("fig4.scaling-group",
           "Water-SP, LU, and SOR keep scaling through 16 CMPs",
           _claim_scaling_group),
+    Claim("fig4.diminishing-group",
+          "Water-NS, Ocean, MG, CG, and SP gain little from 8 to 16 CMPs",
+          _claim_diminishing_group),
     Claim("fig4.fft-limited",
           "FFT is communication-limited by 4 CMPs",
           _claim_fft_limited),
@@ -191,6 +283,9 @@ CLAIMS: List[Claim] = [
     Claim("fig5.double-kernels",
           "LU and Water-SP still favor double mode",
           _claim_double_kernels),
+    Claim("fig5.fft-beats-single",
+          "slipstream beats single mode on FFT at 4 CMPs",
+          _claim_fft_beats_single),
     Claim("fig5.no-consistent-winner",
           "no A-R policy wins for every benchmark",
           _claim_no_consistent_winner),
@@ -200,12 +295,32 @@ CLAIMS: List[Claim] = [
     Claim("fig6.arsync-on-astream",
           "A-R synchronization time appears only on A-stream bars",
           _claim_arsync_only_on_astream),
+    Claim("fig6.low-stall-kernels",
+          "LU and Water-SP show little stall in single mode",
+          _claim_low_stall_kernels),
+    Claim("fig6.locks-on-r-only",
+          "lock time appears on the R-stream only (CG, Water-NS)",
+          _claim_locks_on_r_only),
+    Claim("fig6.double-halves-busy",
+          "double mode halves each task's busy time",
+          _claim_double_halves_busy),
     Claim("fig7.partition",
-          "the six request classes partition all read requests",
+          "the six request classes partition all read and exclusive "
+          "requests",
           _claim_classification_partitions),
+    Claim("fig7.tight-sync-exclusive",
+          "tight G0 sync gets at least L1's A-share of exclusive requests "
+          "(SOR, Ocean)",
+          _claim_tight_sync_exclusive),
+    Claim("fig7.r-only-small",
+          "R-Only reads are rare (SOR, L1)",
+          _claim_r_only_small),
     Claim("fig9.transparent-issued",
           "Section 4 benchmarks issue transparent loads",
           _claim_transparent_loads_issued),
+    Claim("fig9.issue-band",
+          "the mean transparent-load issue rate is between 5% and 80%",
+          _claim_issue_band),
     Claim("fig10.tl-can-hurt",
           "transparent loads alone hurt a prefetch-friendly kernel",
           _claim_tl_hurts_somewhere),

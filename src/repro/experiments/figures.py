@@ -27,14 +27,13 @@ Experiment conventions (matching the paper):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.config import MachineConfig, scaled_config
+from repro.config import MachineConfig
 from repro.experiments.driver import (DOUBLE, SEQUENTIAL, SINGLE, SLIPSTREAM,
-                                      RunResult, run_mode,
-                                      sequential_baseline)
+                                      RunResult)
 from repro.experiments.runner import Runner, RunSpec
-from repro.slipstream.arsync import G0, G1, L0, L1, POLICIES
+from repro.slipstream.arsync import POLICIES
 from repro.stats.timebreakdown import CATEGORIES as TIME_CATEGORIES
 from repro.workloads import PAPER_ORDER, make
 
@@ -48,10 +47,6 @@ COMPARISON_CMPS = {name: (4 if name == "fft" else 16) for name in PAPER_ORDER}
 #: Figure 9/10 benchmark set: LU and Water-SP are excluded, as in the
 #: paper (their stall time is too small for slipstream to matter).
 SECTION4_WORKLOADS = ("cg", "fft", "mg", "ocean", "sor", "sp", "water-ns")
-
-
-def _config(n_cmps: int) -> MachineConfig:
-    return scaled_config(n_cmps)
 
 
 # ----------------------------------------------------------------------

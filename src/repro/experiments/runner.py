@@ -230,7 +230,7 @@ class Runner:
     Results are bit-identical on every path; only scheduling changes.
     """
 
-    def __init__(self, jobs: int = 1, cache=None, memoize: bool = True,
+    def __init__(self, jobs: int = 1, cache=None,
                  config_overrides: Optional[Dict[str, Any]] = None,
                  fail_fast: bool = False, supervisor=None):
         if jobs < 1:
@@ -249,7 +249,6 @@ class Runner:
                   f"CPU(s); capping pool workers at {self.jobs_effective}",
                   file=sys.stderr)
         self.cache = cache
-        self.memoize = memoize
         self.fail_fast = fail_fast
         #: machine-config fields forced onto every spec this Runner
         #: executes (e.g. ``{"check": True}`` for sanitized runs).  They
@@ -367,9 +366,8 @@ class Runner:
         for spec in misses:
             if self.cache is not None and results[spec].error is None:
                 self.cache.put(spec.key(), results[spec])
-        if self.memoize:
-            self._memo.update({s: r for s, r in results.items()
-                               if r.error is None})
+        self._memo.update({s: r for s, r in results.items()
+                           if r.error is None})
 
         stats.serial_seconds = sum(results[s].wall_seconds for s in set(specs))
         stats.wall_seconds = time.perf_counter() - started
@@ -403,9 +401,3 @@ class Runner:
             exec_cycles=0, policy=spec.policy,
             error={"type": type(exc).__name__, "message": str(exc),
                    "attempts": 1, "spec": spec.label()})
-
-
-def run_batch(specs: Sequence[RunSpec], jobs: int = 1,
-              cache=None) -> List[RunResult]:
-    """One-shot batch execution (fresh :class:`Runner`)."""
-    return Runner(jobs=jobs, cache=cache).run_batch(specs)

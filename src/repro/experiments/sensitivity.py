@@ -13,19 +13,17 @@ them through the figures module's shared
 sweep out at once and the result cache applies.
 
 Used by ``python -m repro.experiments`` (``sensitivity`` subcommand) and
-``benchmarks/bench_sensitivity.py``.
+the test suite.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.config import MachineConfig, scaled_config
 from repro.experiments import figures
-from repro.experiments.driver import DOUBLE, SINGLE, SLIPSTREAM, run_mode
+from repro.experiments.driver import DOUBLE, SINGLE, SLIPSTREAM
 from repro.experiments.runner import RunSpec
 from repro.slipstream.arsync import ARSyncPolicy, G1
-from repro.workloads import make
 
 #: parameter -> default sweep values (Table 1 value included in each)
 DEFAULT_SWEEPS: Dict[str, Sequence[int]] = {
@@ -35,18 +33,6 @@ DEFAULT_SWEEPS: Dict[str, Sequence[int]] = {
     "port_data_occupancy": (8, 40, 120),
     "si_drain_interval": (1, 4, 32),
 }
-
-
-def slipstream_benefit(workload_name: str, config: MachineConfig,
-                       policy: ARSyncPolicy = G1,
-                       si: bool = False) -> float:
-    """Slipstream speedup over the best of single and double on one
-    machine point."""
-    single = run_mode(make(workload_name), config, "single").exec_cycles
-    double = run_mode(make(workload_name), config, "double").exec_cycles
-    slip = run_mode(make(workload_name), config, "slipstream",
-                    policy=policy, si=si).exec_cycles
-    return min(single, double) / slip
 
 
 def _benefit_specs(workload_name: str, n_cmps: int, policy: ARSyncPolicy,
@@ -94,14 +80,3 @@ def sweep(parameter: str, values: Optional[Iterable[int]] = None,
         slip = next(runs).exec_cycles
         results[value] = min(single, double) / slip
     return results
-
-
-def latency_sensitivity(workload_name: str = "ocean", n_cmps: int = 8
-                        ) -> Dict[str, Dict[int, float]]:
-    """The headline sweep: how the benefit scales with remote latency.
-
-    Slipstream's premise is hiding remote latency, so its benefit should
-    grow (until A-stream throughput saturates) as the network slows.
-    """
-    return {"net_time": sweep("net_time", workload_name=workload_name,
-                              n_cmps=n_cmps)}

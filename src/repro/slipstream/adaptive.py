@@ -20,8 +20,8 @@ session earliest; zero-token global latest).  Decisions are made every
 ``interval`` R-stream sessions with a minimum sample count, which provides
 the hysteresis that keeps the controller from thrashing.
 
-Known limitation (kept deliberately, and measured in
-``bench_ablations.py``): a high A-Late rate is an ambiguous signal.  It
+Known limitation (kept deliberately, and measured by
+``tests/test_extensions.py``): a high A-Late rate is an ambiguous signal.  It
 can mean the A-stream needs more lead (loosen) — but kernels that favor
 tight synchronization (e.g. Ocean under G0) show high A-Late *by
 construction*, because same-session merging is exactly how their

@@ -126,3 +126,22 @@ def test_figure9_and_10_respect_comparison_cmps(monkeypatch):
     assert "sor" in fig9
     fig10 = figures.figure10(("sor",))
     assert fig10["sor"]["best_mode"] in ("single", "double")
+
+
+def test_cli_fig9_and_fig10_honour_workloads(monkeypatch):
+    """``--workloads`` narrows Figures 9 and 10; without it they cover the
+    Section 4 kernels."""
+    from repro.experiments.__main__ import main
+    seen = []
+
+    def recorder(workloads=figures.SECTION4_WORKLOADS):
+        seen.append(tuple(workloads))
+        return {}
+
+    monkeypatch.setattr(figures, "figure9", recorder)
+    monkeypatch.setattr(figures, "figure10", recorder)
+    for experiment in ("fig9", "fig10"):
+        assert main([experiment, "--workloads", "sor", "--no-cache",
+                     "--json"]) == 0
+        assert main([experiment, "--no-cache", "--json"]) == 0
+    assert seen == [("sor",), figures.SECTION4_WORKLOADS] * 2

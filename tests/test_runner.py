@@ -12,7 +12,7 @@ from repro.experiments import figures
 from repro.experiments.driver import (DOUBLE, SEQUENTIAL, SINGLE, SLIPSTREAM,
                                       RunResult, run_mode)
 from repro.experiments.runner import (BatchStats, Runner, RunSpec,
-                                      execute_spec, run_batch)
+                                      execute_spec)
 from repro.experiments.supervisor import SupervisorConfig
 from repro.stats.timebreakdown import TimeBreakdown
 from repro.workloads import make
@@ -75,7 +75,7 @@ def test_batch_safely_mixes_n_cmps_and_sequential():
     # other CMP counts: each run resolves its own config, nothing leaks.
     specs = [spec(mode=SEQUENTIAL, n=1), spec(mode=SINGLE, n=2),
              spec(mode=SINGLE, n=4)]
-    results = run_batch(specs)
+    results = Runner().run_batch(specs)
     assert [r.n_cmps for r in results] == [1, 2, 4]
     assert [r.mode for r in results] == [SEQUENTIAL, SINGLE, SINGLE]
 
@@ -84,7 +84,7 @@ def test_batch_safely_mixes_n_cmps_and_sequential():
 # Runner execution, dedup, statistics
 # ----------------------------------------------------------------------
 def test_run_batch_matches_direct_run_mode():
-    result = run_batch([spec(mode=DOUBLE)])[0]
+    result = Runner().run(spec(mode=DOUBLE))
     direct = run_mode(make("sor"), spec().resolve_config(), DOUBLE)
     assert result.exec_cycles == direct.exec_cycles
     assert result.fabric_stats == direct.fabric_stats
@@ -200,8 +200,8 @@ def test_pooled_execution_bit_identical_to_serial():
     specs = [spec(mode=SINGLE), spec(mode=DOUBLE),
              spec(mode=SLIPSTREAM, policy="G1"),
              spec(mode=SLIPSTREAM, policy="L1", si=True)]
-    serial = run_batch(specs, jobs=1)
-    pooled = run_batch(specs, jobs=4)
+    serial = Runner(jobs=1).run_batch(specs)
+    pooled = Runner(jobs=4).run_batch(specs)
     for s, p in zip(serial, pooled):
         assert s.exec_cycles == p.exec_cycles
         assert s.fabric_stats == p.fabric_stats

@@ -2,15 +2,18 @@
 
 import pytest
 
+from repro.config import scaled_config
+from repro.experiments.driver import run_mode
 from repro.machine.system import System
 from repro.memory.cache import MODIFIED
 from repro.runtime import ops as op
 from repro.runtime.sync import SyncRegistry
 from repro.runtime.task import ROLE_A, ROLE_R, TaskContext
-from repro.slipstream.arsync import G0, G1, L0, L1
+from repro.slipstream.arsync import G0, G1, L0, L1, ARSyncPolicy
 from repro.slipstream.astream import AStreamExecutor
 from repro.slipstream.pair import SlipstreamPair, fast_forward
 from repro.slipstream.rstream import RStreamExecutor
+from repro.workloads import make
 from tests.conftest import tiny_config
 from tests.test_protocol import local_line
 
@@ -248,3 +251,27 @@ def test_fast_forward_past_end_is_safe():
         yield op.Barrier("b")
 
     assert list(fast_forward(program(), 10)) == []
+
+
+# ----------------------------------------------------------------------
+# End to end: the paper's fixed choices, varied
+# ----------------------------------------------------------------------
+def test_slower_si_drain_is_not_faster():
+    """Draining SI hints 16x slower than the paper's one line per 4
+    cycles must not speed cg@8 up by more than 5%."""
+    cycles = {interval: run_mode(make("cg"),
+                                 scaled_config(8, si_drain_interval=interval),
+                                 "slipstream", policy=G1, si=True).exec_cycles
+              for interval in (4, 64)}
+    assert cycles[64] >= 0.95 * cycles[4]
+
+
+def test_tight_sync_converts_no_fewer_stores():
+    """Stores convert to exclusive prefetches only while the A-stream is
+    in its R-stream's session, where zero-token global sync keeps it more
+    often than a four-token local lead does (sor@8)."""
+    converted = {
+        policy.name: run_mode(make("sor"), scaled_config(8), "slipstream",
+                              policy=policy).stores_converted
+        for policy in (G0, ARSyncPolicy("L4", "local", 4))}
+    assert converted["G0"] >= converted["L4"]

@@ -30,7 +30,7 @@ def test_speculative_issues_more_prefetches_than_plain_forwarding():
                      forwarding=True)
     spec = run_mode(make("mg"), config, "slipstream", policy=G1,
                     speculative_barriers=True)
-    assert spec.forwarded_prefetches >= plain.forwarded_prefetches
+    assert spec.forwarded_prefetches > plain.forwarded_prefetches
 
 
 def test_speculative_replays_counted():
