@@ -10,9 +10,9 @@ request latency taken from the service's own obs histogram rather than
 client-side wall clocks.
 
 With ``--verify`` every unique spec is additionally executed directly
-through a local :class:`~repro.experiments.runner.Runner` and compared
-field-for-field (minus wall time) against the served result — the
-bit-identity contract of docs/architecture.md §12.
+through a local :class:`~repro.experiments.runner.Runner`, and every
+served answer is compared field-for-field (minus wall time) against
+that run — the bit-identity contract of docs/architecture.md §12.
 
 Run (against an already-running ``python -m repro.serve``)::
 
@@ -124,30 +124,32 @@ async def replay(host: str, port: int, trace: List[Dict[str, object]],
 
 
 def verify_against_direct(records: List[Dict[str, object]]
-                          ) -> List[Dict[str, object]]:
-    """Run every unique completed spec through a local Runner and diff
-    the deterministic fields; returns the list of mismatches."""
+                          ) -> Tuple[int, List[Dict[str, object]]]:
+    """Run each unique completed spec once through a local Runner and
+    diff the deterministic fields of *every* completed record against
+    that run; returns ``(records verified, mismatches)``."""
     from repro.experiments.runner import Runner
     from repro.serve.service import deterministic_dict, spec_from_dict
 
-    unique: Dict[str, Tuple[object, Dict[str, object]]] = {}
+    # no disk cache: really re-execute; the memo runs each spec once
+    runner = Runner()
+    verified = 0
+    mismatches = []
     for record in records:
         if record.get("shed") or record.get("error") \
                 or "result" not in record:
             continue
-        spec = spec_from_dict(record["spec"])
-        unique.setdefault(spec.key(), (spec, record))
-    runner = Runner()           # no disk cache: really re-execute
-    mismatches = []
-    for key, (spec, record) in unique.items():
-        direct = deterministic_dict(runner.run(spec))
+        expected = deterministic_dict(
+            runner.run(spec_from_dict(record["spec"])))
         served = dict(record["result"])
         served.pop("wall_seconds", None)
-        if served != direct:
-            diff = sorted(name for name in set(direct) | set(served)
-                          if direct.get(name) != served.get(name))
-            mismatches.append({"spec": record["spec"], "fields": diff})
-    return mismatches
+        verified += 1
+        if served != expected:
+            diff = sorted(name for name in set(expected) | set(served)
+                          if expected.get(name) != served.get(name))
+            mismatches.append({"index": record.get("index"),
+                               "spec": record["spec"], "fields": diff})
+    return verified, mismatches
 
 
 def summarize(records: List[Dict[str, object]],
@@ -200,7 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "after the replay")
     parser.add_argument("--verify", action="store_true",
                         help="re-execute unique specs directly and compare "
-                             "deterministic fields with the served results")
+                             "deterministic fields with every served result")
     parser.add_argument("--allow-shed", action="store_true",
                         help="do not fail the run when requests are shed")
     parser.add_argument("--shed-retries", type=int, default=0, metavar="N",
@@ -265,10 +267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.verify:
         print("[loadgen] verifying served results against direct "
               "execution ...", file=sys.stderr)
-        mismatches = verify_against_direct(records)
-        summary["verified_unique"] = len(
-            {json.dumps(r["spec"], sort_keys=True) for r in records
-             if not r.get("shed") and not r.get("error")})
+        summary["verified"], mismatches = verify_against_direct(records)
         summary["mismatches"] = mismatches
 
     payload = dict(summary, seed=args.seed)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -261,6 +262,9 @@ class Runner:
                 supervisor = SupervisorConfig()
             self.pool = SupervisedPool(supervisor, self.jobs_effective)
         self._memo: Dict[RunSpec, RunResult] = {}
+        #: guards ``_memo``: the serving layer reads it on its event loop
+        #: (``memoized``) while a wave's thread updates it in run_batch
+        self._memo_lock = threading.Lock()
         self.last_stats: Optional[BatchStats] = None
         self.total_stats = BatchStats(jobs=self.jobs_effective,
                                       jobs_requested=jobs)
@@ -273,6 +277,17 @@ class Runner:
     def run(self, spec: RunSpec) -> RunResult:
         """Single-spec convenience wrapper around :meth:`run_batch`."""
         return self.run_batch([spec])[0]
+
+    def memoized(self, spec: RunSpec) -> Optional[RunResult]:
+        """The result this Runner already memoized for ``spec``, or None.
+
+        Read-only: no stats, no spans, no disk-cache read.  Safe to call
+        from another thread while :meth:`run_batch` runs.
+        """
+        if self.config_overrides:
+            spec = spec.with_config_overrides(**self.config_overrides)
+        with self._memo_lock:
+            return self._memo.get(spec)
 
     def run_batch(self, specs: Sequence[RunSpec],
                   parents: Optional[Sequence[object]] = None
@@ -366,8 +381,9 @@ class Runner:
         for spec in misses:
             if self.cache is not None and results[spec].error is None:
                 self.cache.put(spec.key(), results[spec])
-        self._memo.update({s: r for s, r in results.items()
-                           if r.error is None})
+        fresh = {s: r for s, r in results.items() if r.error is None}
+        with self._memo_lock:
+            self._memo.update(fresh)
 
         stats.serial_seconds = sum(results[s].wall_seconds for s in set(specs))
         stats.wall_seconds = time.perf_counter() - started

@@ -116,14 +116,18 @@ def diff_rows(a, b) -> List[Tuple[str, Optional[float], Optional[float],
                                   Optional[float]]]:
     """``(key, a_value, b_value, pct_change)`` for every key in either
     artifact; ``None`` marks a key absent on one side or an undefined
-    percentage (zero base)."""
+    percentage (a change away from a zero base).  Equal values, zeros
+    included, are a 0.0 change."""
     left, right = _numeric_view(a), _numeric_view(b)
     rows = []
     for key in sorted(set(left) | set(right)):
         va, vb = left.get(key), right.get(key)
         pct = None
-        if va is not None and vb is not None and va != 0:
-            pct = (vb - va) / abs(va)
+        if va is not None and vb is not None:
+            if va == vb:
+                pct = 0.0
+            elif va != 0:
+                pct = (vb - va) / abs(va)
         rows.append((key, va, vb, pct))
     return rows
 

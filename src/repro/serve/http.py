@@ -11,10 +11,12 @@ Endpoints (all JSON unless noted):
 * ``POST /runs`` — submit one spec.  Body is either the spec object
   itself or ``{"spec": {...}, "client": "id"}``.  By default the call
   blocks until the result is ready and returns it; ``?wait=0`` returns
-  ``202 {"id": ...}`` immediately for later polling;
-* ``POST /batch`` — ``{"specs": [...], "client": "id"}``; admits the
-  whole batch atomically, waits for all results, returns them in spec
-  order (duplicates — in the list or against in-flight work — coalesce);
+  ``202 {"id": ...}`` immediately for later polling.  A spec the Runner
+  has memoized is answered at admission (status ``done`` at once);
+* ``POST /batch`` — ``{"specs": [...], "client": "id"}``; answers its
+  memo hits, admits the rest atomically, waits for all results, returns
+  them in spec order (duplicates — in the list or against in-flight
+  work — coalesce);
 * ``GET  /runs/{id}`` — job record: status, spec, result when done.
 
 Admission rejections carry a (jittered) ``Retry-After`` header: ``429``

@@ -3,9 +3,10 @@
 The service's durability contract mirrors the paper's own recovery
 story: slipstream rebuilds a deviated A-stream from the R-stream's
 *committed* state, and the serving layer rebuilds its in-flight work
-from the journal's committed records.  Every unique job passes through
+from the journal's committed records.  Every admitted job passes through
 three record types, keyed by the spec's content-addressed cache key
-(:meth:`RunSpec.key`):
+(:meth:`RunSpec.key`); a request the Runner's memo answers at admission
+is never admitted, so it writes none:
 
 * ``accepted`` — written (and fsync'd) *before* the job is enqueued:
   the write-ahead rule.  Carries the full JSON spec and the submitting

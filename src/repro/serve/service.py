@@ -6,7 +6,9 @@ requests from any number of concurrent clients and funnels them through
 four stages, each reusing an existing subsystem rather than reinventing
 it:
 
-1. **admission** — a bounded queue of unresolved unique jobs plus a
+1. **admission** — a spec the Runner has already memoized is answered
+   on the spot (no journal record, no queue slot, no wave).  Everything
+   else meets a bounded queue of unresolved unique jobs plus a
    per-client in-flight cap.  Work beyond either bound is *shed*
    (:class:`Shed`, surfaced as HTTP 429 + ``Retry-After``) instead of
    being buffered without bound;
@@ -121,16 +123,19 @@ class Shed(Exception):
 
 
 class Job:
-    """One admitted unique spec and everyone waiting on it."""
+    """One admitted unique spec and everyone waiting on it — or one
+    memo hit, resolved when it was created."""
 
     __slots__ = ("id", "spec", "key", "clients", "future", "status",
                  "submitted", "coalesced", "span", "wait_span", "exec_span",
                  "followers")
 
-    def __init__(self, job_id: str, spec: RunSpec, key: str, client: str,
-                 future: "asyncio.Future[RunResult]"):
+    def __init__(self, job_id: str, spec: RunSpec, key: Optional[str],
+                 client: str, future: "asyncio.Future[RunResult]"):
         self.id = job_id
         self.spec = spec
+        #: the spec's cache key; None for a memo hit, which never needs
+        #: it to be answered (``info`` computes it on demand)
         self.key = key
         self.clients = [client]
         self.future = future
@@ -152,7 +157,8 @@ class Job:
         record: Dict[str, object] = {
             "id": self.id, "status": self.status,
             "spec": self.spec.as_dict(), "label": self.spec.label(),
-            "key": self.key, "coalesced": self.coalesced,
+            "key": self.key if self.key is not None else self.spec.key(),
+            "coalesced": self.coalesced,
             "clients": list(self.clients),
         }
         if self.span is not None:
@@ -171,6 +177,8 @@ class SimulationService:
     serialized by a lock so the (not thread-safe) runner never sees two
     waves at once — an abandoned (timed-out) wave holds the lock until
     its thread drains, so a stall degrades capacity, never correctness.
+    The one runner state the loop reads while a wave runs is the memo
+    (``Runner.memoized``), which has its own small lock.
     """
 
     def __init__(self, runner: Optional[Runner] = None,
@@ -338,17 +346,23 @@ class SimulationService:
     # ------------------------------------------------------------------
     def submit_nowait(self, spec: RunSpec,
                       client: str = "anon") -> Tuple[Job, bool]:
-        """Admit ``spec`` (or coalesce onto an identical in-flight job).
+        """Answer ``spec`` from the Runner's memo, or admit it (or
+        coalesce onto an identical in-flight job).
 
         Returns ``(job, coalesced)``; raises :class:`Shed` when either
-        admission bound rejects the request.  Coalesced duplicates add no
-        simulation work, so they bypass the queue bound — but they do
-        count against their client's in-flight cap.
+        admission bound rejects the request.  A memo hit returns an
+        already-resolved job and checks no bound: it adds no work.
+        Coalesced duplicates add no simulation work either, so they
+        bypass the queue bound — but they do count against their
+        client's in-flight cap.
         """
         self._m_requests.inc()
         if not self.is_ready():
             self._m_unavailable.inc()
             self._shed(spec, client, self._unready_reason(), status=503)
+        result = self.runner.memoized(spec)
+        if result is not None:
+            return self._answer_memoized(spec, client, result), False
         cap = self.config.per_client_inflight
         held = self._client_inflight.get(client, 0)
         if held >= cap:
@@ -383,6 +397,35 @@ class SimulationService:
         job = self._admit(spec, client, key=key)
         return job, False
 
+    def _answer_memoized(self, spec: RunSpec, client: str,
+                         result: RunResult) -> Job:
+        """An already-resolved job carrying the Runner's memoized result.
+
+        Nothing to recover or wait for, so no journal record, no queue
+        slot, no in-flight bookkeeping; the job lives only in the
+        history, so ``/runs/{id}`` can still answer for it.
+        """
+        span = admission = None
+        if self.tracer is not None:
+            span = self.tracer.start_span("serve.request", client=client,
+                                          spec=spec.label())
+            admission = self.tracer.start_span("serve.admission", parent=span,
+                                               journaled=False)
+        job = Job(f"r{next(self._ids):06d}", spec, None, client,
+                  asyncio.get_running_loop().create_future())
+        job.status = "done"
+        job.future.set_result(result)
+        self._remember(job)
+        self._m_memo_hits.inc()
+        self._p_request(job.id, spec.label(), client=client)
+        if span is not None:
+            admission.end()
+            self.tracer.start_span("runner.memo_hit", parent=span,
+                                   spec=spec.label()).end()
+            job.span = span.set(job=job.id, outcome="done").end()
+        self._observe_done(job)
+        return job
+
     def _admit(self, spec: RunSpec, client: str, *,
                key: Optional[str] = None, journal: bool = True,
                trace_id: Optional[str] = None) -> Job:
@@ -390,8 +433,9 @@ class SimulationService:
 
         The ``accepted`` record is written (and fsynced) *before* any
         service state mutates — if the append fails, the request errors
-        out with nothing admitted, so every job the service ever holds
-        is recoverable.  Journal replay calls this with ``journal=False``
+        out with nothing admitted, so every admitted job is recoverable
+        (a memo hit is never admitted: it is answered before any record
+        would be written).  Journal replay calls this with ``journal=False``
         (the record already exists) and bypasses the admission bounds:
         accepted work is never shed.
 
@@ -435,16 +479,30 @@ class SimulationService:
 
     def admit_batch(self, specs: List[RunSpec],
                     client: str = "anon") -> List[Tuple[Job, bool]]:
-        """Admit a whole batch atomically: if the *new* unique work it
-        introduces does not fit the queue bound, nothing is admitted."""
-        new_keys = {spec.key() for spec in specs}
+        """Admit a whole batch atomically: memo hits are answered on the
+        spot, and if the rest does not fit the queue bound or the
+        client's in-flight cap, nothing is admitted.
+
+        The memo only grows, so a spec counted as a hit here is still
+        one when :meth:`submit_nowait` answers it.
+        """
+        misses = [spec for spec in specs
+                  if self.runner.memoized(spec) is None]
+        new_keys = {spec.key() for spec in misses}
         new_keys -= {key for key, job in self._inflight.items()
                      if not job.future.done()}
+        first = specs[0] if specs else None
         if self.depth + len(new_keys) > self.config.max_queue:
-            self._shed(specs[0] if specs else None, client,
+            self._shed(first, client,
                        f"batch of {len(new_keys)} new job(s) does not fit "
                        f"the queue bound ({self.depth}/"
                        f"{self.config.max_queue} in use)")
+        cap = self.config.per_client_inflight
+        held = self._client_inflight.get(client, 0)
+        if held + len(misses) > cap:
+            self._shed(first, client,
+                       f"batch needs {len(misses)} in-flight slot(s); client "
+                       f"{client!r} already holds {held} (cap {cap})")
         return [self.submit_nowait(spec, client) for spec in specs]
 
     def _shed(self, spec: Optional[RunSpec], client: str, reason: str,
@@ -595,9 +653,13 @@ class SimulationService:
                 self._client_inflight[client] = held - 1
         self.depth -= 1
         self._g_depth.set(self.depth)
+        self._observe_done(job)
+
+    def _observe_done(self, job: Job) -> None:
+        """Record a resolved request's latency and fire ``serve.done``."""
         elapsed_ms = (time.monotonic() - job.submitted) * 1000.0
         self._h_latency.observe(elapsed_ms)
-        self._p_done(job.id, f"{job.spec.label()} -> {status}",
+        self._p_done(job.id, f"{job.spec.label()} -> {job.status}",
                      ms=round(elapsed_ms, 3))
 
     def _journal_note(self, kind: str, key: str, status: str = "done",

@@ -91,6 +91,7 @@ def test_loadgen_smoke_zero_shed_coalesced_and_verified(capsys):
     assert summary["coalesced"] >= 1
     assert summary["mismatches"] == []
     assert summary["completed"] == 8
+    assert summary["verified"] == 8
 
     # Latency budget, from the service's own histogram quantiles: the
     # p95 gauge must be finite (inside the top bucket) and the p50 no
@@ -101,6 +102,22 @@ def test_loadgen_smoke_zero_shed_coalesced_and_verified(capsys):
     assert 0 < p50 <= p95
     assert p95 != float("inf"), \
         "p95 fell in the histogram overflow bucket (> 120s budget edge)"
+
+
+def test_verify_checks_every_answer_not_only_the_first():
+    from repro.experiments.runner import execute_spec
+    from repro.serve import spec_from_dict
+
+    spec = {"workload": "sor", "mode": "single", "n_cmps": 1}
+    served = execute_spec(spec_from_dict(spec)).to_dict()
+    tampered = dict(served, exec_cycles=served["exec_cycles"] + 1)
+    records = [{"index": i, "spec": spec, "status": 200, "coalesced": False,
+                "error": None, "result": result}
+               for i, result in enumerate((served, served, tampered))]
+    verified, mismatches = loadgen.verify_against_direct(records)
+    assert verified == 3
+    assert mismatches == [{"index": 2, "spec": spec,
+                           "fields": ["exec_cycles"]}]
 
 
 def test_loadgen_requires_a_target():

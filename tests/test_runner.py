@@ -5,6 +5,8 @@ Covers spec canonicalization, per-run config isolation (the sequential
 serial-vs-pooled determinism, and the RunResult JSON round-trip."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -111,6 +113,66 @@ def test_runner_memo_spans_batches(monkeypatch):
     assert again is first
     assert runner.last_stats.memo_hits == 1
     assert runner.last_stats.executed == 0
+
+
+def fake_execute(spec):
+    """A stand-in simulation that encodes its spec in the result."""
+    return RunResult(workload=spec.workload, mode=spec.mode,
+                     n_cmps=spec.n_cmps, exec_cycles=spec.max_cycles,
+                     policy=spec.policy)
+
+
+def test_memoized_reads_the_memo_only(monkeypatch):
+    monkeypatch.setattr("repro.experiments.runner.execute_spec", fake_execute)
+    runner = Runner(config_overrides={"check": True})
+    one = spec(max_cycles=7)
+    assert runner.memoized(one) is None
+    result = runner.run(one)
+    # the Runner's own overrides are applied before the memo lookup
+    assert runner.memoized(one) is result
+    assert runner.memoized(spec(max_cycles=8)) is None
+    assert runner.total_stats.total == 1          # no stats recorded
+    assert Runner().memoized(one) is None
+
+
+def test_memoized_under_a_concurrent_writer(monkeypatch):
+    """Readers polling ``memoized`` while a thread fills the memo only
+    ever see the result of the spec they asked for."""
+    monkeypatch.setattr("repro.experiments.runner.execute_spec", fake_execute)
+    runner = Runner()
+    specs = [spec(max_cycles=1000 + i) for i in range(200)]
+    errors = []
+    done = threading.Event()
+
+    def writer():
+        try:
+            for one in specs:
+                runner.run_batch([one])
+        finally:
+            done.set()
+
+    def reader(offset):
+        while not done.is_set():
+            for one in specs[offset::4]:
+                result = runner.memoized(one)
+                if result is not None and result.exec_cycles != one.max_cycles:
+                    errors.append((one.max_cycles, result.exec_cycles))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert errors == []
+    assert all(runner.memoized(one).exec_cycles == one.max_cycles
+               for one in specs)
 
 
 def test_runner_records_wall_time():

@@ -5,6 +5,8 @@ Covers the four pipeline stages end to end over real HTTP:
 * single-flight dedup returns results bit-identical to direct
   :class:`~repro.experiments.runner.Runner` execution,
 * admission control sheds at the configured bounds (429 + Retry-After),
+* memo hits are answered at admission, outside the journal, the queue
+  and the waves,
 * the per-wave watchdog cancels a deliberately-stalled job (stalled via
   the fault layer's ``blackhole`` profile),
 * ``/metrics`` series names match the obs registry schema,
@@ -282,6 +284,92 @@ def test_batch_admission_is_atomic():
         # nothing was admitted: the queue is still empty
         assert client.healthz()["queue_depth"] == 0
         assert client.healthz()["requests"] == 0
+
+
+def test_batch_admission_is_atomic_under_the_client_cap():
+    with serve(per_client_inflight=2, batch_window_s=0.5) as harness:
+        client = client_for(harness)
+        with pytest.raises(ServiceError) as excinfo:
+            client.batch([SMALL, OTHER, dict(SMALL, n_cmps=1)])
+        assert excinfo.value.status == 429
+        health = client.healthz()
+        assert health["queue_depth"] == 0
+        assert health["requests"] == 0
+        time.sleep(0.8)                   # past the batch window
+        assert client.healthz()["executed"] == 0
+
+
+# ----------------------------------------------------------------------
+# Memo hits: answered at admission, outside the journal, queue and waves
+# ----------------------------------------------------------------------
+def warm_runner(*blobs) -> Runner:
+    """A Runner whose memo already holds ``blobs``' results."""
+    runner = Runner()
+    runner.run_batch([spec_from_dict(blob) for blob in blobs])
+    return runner
+
+
+def test_repeat_request_is_answered_from_the_memo(tmp_path):
+    with serve(journal_dir=str(tmp_path / "wal"), journal_fsync=False) \
+            as harness:
+        client = client_for(harness)
+        first = client.submit(SMALL)
+        before = client.metrics()
+        appended = client.healthz()["journal"]["appended"]
+        again = client.submit(SMALL, client="other")
+        after = client.metrics()
+        assert again["status"] == "done"
+        assert again["coalesced"] is False
+        assert again["id"] != first["id"]
+        assert again["result"] == first["result"]
+        for name in ("serve.executed", "serve.batches",
+                     "serve.batch_occupancy_count"):
+            assert after[name] == before[name], name
+        assert client.healthz()["journal"]["appended"] == appended == 3
+        assert after["serve.memo_hits"] == before["serve.memo_hits"] + 1
+        assert after["serve.requests"] == 2
+        assert after["serve.latency_ms_count"] == 2
+        assert client.healthz()["queue_depth"] == 0
+
+
+def test_memo_hit_with_wait_0_is_done_and_pollable():
+    with serve(runner=warm_runner(SMALL)) as harness:
+        client = client_for(harness)
+        status, _, ticket = client._request(
+            "POST", "/runs?wait=0", {"spec": SMALL, "client": "poller"})
+        assert status == 202
+        assert ticket["status"] == "done" and ticket["coalesced"] is False
+        info = client.run_info(ticket["id"])
+        assert info["status"] == "done"
+        assert info["clients"] == ["poller"]
+        assert info["key"] == spec_from_dict(SMALL).key()
+        assert info["result"]["exec_cycles"] > 0
+
+
+def test_all_hit_batch_is_answered_while_the_queue_is_full():
+    third = dict(SMALL, n_cmps=1)
+    with serve(runner=warm_runner(SMALL, OTHER), max_queue=1,
+               batch_window_s=1.0) as harness:
+        client = client_for(harness)
+        background = {}
+        thread = threading.Thread(
+            target=lambda: background.update(client.submit(third)))
+        thread.start()
+        deadline = time.monotonic() + 5
+        while client.healthz()["queue_depth"] == 0:
+            assert time.monotonic() < deadline, "third job never queued"
+            time.sleep(0.01)
+        entries = client.batch([SMALL, OTHER, SMALL])
+        # the queue really is full: new work is shed meanwhile
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(OTHER, n_cmps=1))
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert excinfo.value.status == 429
+    assert [e["status"] for e in entries] == ["done"] * 3
+    assert not any(e["coalesced"] for e in entries)
+    assert entries[0]["result"] == entries[2]["result"]
+    assert background["status"] == "done"
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,9 @@ The layering under test:
   spans home with the parent request's trace_id, through crashes,
   hangs, and retries;
 * the service — root spans per admitted request, queue-wait/wave-
-  execute children, coalesced-follower links, shed/watchdog trace_ids,
-  journal replay keeping pre-crash trace identity;
+  execute children, memo hits answered at admission, coalesced-follower
+  links, shed/watchdog trace_ids, journal replay keeping pre-crash
+  trace identity;
 * byte-identity — with tracing off, wire payloads, journal records,
   and error shapes are exactly the pre-tracing ones;
 * the analysis CLI — report/diff over trace and metrics artifacts.
@@ -341,6 +342,31 @@ def test_coalesced_follower_links_leader_trace():
     assert waits[0].attrs["outcome"] == "done"
 
 
+def test_memo_hit_is_its_own_trace_answered_at_admission():
+    async def scenario(service):
+        first, _ = service.submit_nowait(SMALL, "a")
+        await asyncio.wait_for(asyncio.shield(first.future), 120)
+        hit, coalesced = service.submit_nowait(SMALL, "b")
+        assert not coalesced and hit is not first
+        assert hit.future.done() and hit.status == "done"
+        assert service.depth == 0 and not service._inflight
+        return first, hit
+
+    service, (first, hit) = run_service(scenario)
+    assert hit.future.result() is first.future.result()
+    spans = service.tracer.spans()
+    root = hit.span
+    assert root.name == "serve.request" and root.end_us is not None
+    assert root.attrs["client"] == "b" and root.attrs["job"] == hit.id
+    assert root.attrs["outcome"] == "done"
+    assert root.context.trace_id != first.span.context.trace_id
+    children = sorted(s.name for s in spans
+                      if s.context.parent_id == root.context.span_id)
+    assert children == ["runner.memo_hit", "serve.admission"]
+    # only the first request waited in the queue and joined a wave
+    assert sum(s.name == "serve.wave_execute" for s in spans) == 1
+
+
 def test_shed_carries_trace_id_only_when_tracing():
     async def scenario(service):
         service.submit_nowait(STALLED, "a")
@@ -533,6 +559,26 @@ def test_diff_handles_traces_and_flat_metrics():
     assert by_key["serve.executed"][0] is None
     assert "label" not in by_key                 # non-numeric dropped
     assert "serve.requests" in analyze.diff_text(a, b, threshold=0.1)
+
+    # unchanged zeros are unchanged: a trace whose spans round to
+    # 0.000 ms diffs to 0.0 against itself, and so does a zero counter
+    tracer = Tracer(track="service")
+    root = tracer.start_span("serve.request")
+    root.end(at_us=root.start_us)
+    doc = tracer.to_perfetto()
+    assert analyze.diff_rows(doc, doc) == [
+        ("serve.request.total_ms", 0.0, 0.0, 0.0)]
+    zeros = {"serve.shed": 0, "serve.requests": 4}
+    assert analyze.diff_rows(zeros, zeros) == [
+        ("serve.requests", 4.0, 4.0, 0.0), ("serve.shed", 0.0, 0.0, 0.0)]
+    assert "serve.shed" not in analyze.diff_text(zeros, zeros,
+                                                 threshold=0.05)
+    # a change away from a zero base has no percentage and is shown
+    grown = {"serve.shed": 2, "serve.requests": 4}
+    assert analyze.diff_rows(zeros, grown)[1] == ("serve.shed", 0.0, 2.0,
+                                                  None)
+    text = analyze.diff_text(zeros, grown, threshold=0.05)
+    assert "serve.shed" in text and "serve.requests" not in text
 
 
 def test_obs_cli_report_and_diff(tmp_path, capsys):
