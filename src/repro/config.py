@@ -24,6 +24,15 @@ from typing import Optional
 #: registry back — a test pins the two in sync.
 PROTOCOLS = ("dir-inv", "dls")
 
+#: MachineConfig fields that are cycle counts: latencies, DC and port
+#: occupancies, synchronization costs and slipstream delays (>= 0)
+_CYCLE_FIELDS = (
+    "l2_hit_cycles", "bus_time", "pi_local_dc_time", "pi_remote_dc_time",
+    "ni_remote_dc_time", "ni_local_dc_time", "net_time", "mem_time",
+    "port_data_occupancy", "port_ctrl_occupancy", "lock_local_cycles",
+    "lock_transfer_cycles", "barrier_entry_cycles", "barrier_release_cycles",
+    "si_drain_interval", "recovery_fork_cycles", "input_forward_cycles")
+
 
 @dataclass
 class MachineConfig:
@@ -46,7 +55,6 @@ class MachineConfig:
     page_size: int = 4096
     l1_size: int = 32 * 1024
     l1_assoc: int = 2
-    l1_hit_cycles: int = 1
     l2_size: int = 1024 * 1024
     l2_assoc: int = 4
     l2_hit_cycles: int = 10
@@ -148,13 +156,6 @@ class MachineConfig:
     # Derived / misc
     # ------------------------------------------------------------------
     seed: int = 12345
-    #: compile workload programs to flat op-tapes and replay them through
-    #: the hot-loop executor path (repro.workloads.tape).  Cycle-identical
-    #: to the generator path by construction; False keeps the original
-    #: generator execution as the differential-testing oracle.  Being a
-    #: config field, it participates in the result-cache key, so taped and
-    #: generator results never alias.
-    compile_tape: bool = True
     #: enable the runtime invariant sanitizer (repro.check).  Off by
     #: default: checking observes every directory transaction and costs
     #: real wall-clock time, but never changes simulated timing.
@@ -172,12 +173,6 @@ class MachineConfig:
     #: directoryless shared-LLC variant with sync-point
     #: self-invalidation).  Participates in the result-cache key.
     protocol: str = "dir-inv"
-    #: dispatch coherence events through the declarative protocol table
-    #: (repro.memory.proto).  Cycle-identical to the hand-written
-    #: generators by construction; False keeps the original generator
-    #: dispatch as the differential-testing oracle — legal only under
-    #: "dir-inv", the one protocol the legacy code implements.
-    proto_engine: bool = True
 
     def __post_init__(self) -> None:
         if self.n_cmps < 1:
@@ -186,10 +181,27 @@ class MachineConfig:
             raise ValueError("the slipstream CMP node model is dual-processor")
         for name in ("line_size", "page_size", "l1_size", "l2_size"):
             value = getattr(self, name)
-            if value & (value - 1):
-                raise ValueError(f"{name} must be a power of two, got {value}")
+            if value < 1 or value & (value - 1):
+                raise ValueError(
+                    f"{name} must be a positive power of two, got {value}")
         if self.page_size % self.line_size:
             raise ValueError("page_size must be a multiple of line_size")
+        for level in ("l1", "l2"):
+            size = getattr(self, f"{level}_size")
+            assoc = getattr(self, f"{level}_assoc")
+            if assoc < 1 or size < self.line_size \
+                    or (size // self.line_size) % assoc:
+                raise ValueError(
+                    f"{level}_assoc must be >= 1 and divide the "
+                    f"{size // self.line_size} lines of {level}_size, "
+                    f"got {assoc}")
+        for name in _CYCLE_FIELDS:
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} is a cycle count and must be >= 0, "
+                    f"got {getattr(self, name)}")
+        if self.deviation_lag_sessions < 0:
+            raise ValueError("deviation_lag_sessions must be >= 0")
         for name in ("fault_net_jitter_rate", "fault_net_drop_rate",
                      "fault_token_loss_rate", "fault_astream_corrupt_rate",
                      "fault_cpu_stall_rate"):
@@ -213,10 +225,6 @@ class MachineConfig:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; known: "
                 f"{', '.join(PROTOCOLS)}")
-        if not self.proto_engine and self.protocol != "dir-inv":
-            raise ValueError(
-                "proto_engine=False keeps the legacy generator dispatch, "
-                "which implements dir-inv only")
 
     def with_overrides(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given fields replaced."""

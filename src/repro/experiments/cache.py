@@ -33,11 +33,11 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from repro.experiments.driver import RunResult
-from repro.workloads.tape import TAPE_FORMAT_VERSION
 
 #: bump when the serialized RunResult layout (or key payload) changes
-CACHE_FORMAT_VERSION = 6  # v6: protocol engine (MachineConfig.protocol +
-#                           proto_engine; RunResult.protocol is mandatory)
+CACHE_FORMAT_VERSION = 7  # v7: three MachineConfig fields removed (the
+#                           two execution-path oracles and a dead L1
+#                           latency); the key has no tape-format entry
 
 #: default cache location (overridable via the environment or --cache-dir)
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
@@ -66,11 +66,8 @@ def result_key(spec, config) -> str:
     source fingerprint)``; the cache filename stem."""
     payload = {
         "format": CACHE_FORMAT_VERSION,
-        # Tape compilation is part of how a result was produced: the
-        # config's ``compile_tape`` flag is in the asdict below, and the
-        # tape representation version invalidates taped results whenever
-        # the compiler's output format or coalescing rules change.
-        "tape_format": TAPE_FORMAT_VERSION,
+        # Covers the tape compiler too: any change to how programs are
+        # traced or replayed changes this fingerprint.
         "source": source_fingerprint(),
         "spec": spec.as_dict(),
         "config": dataclasses.asdict(config),

@@ -227,20 +227,23 @@ def run_mode(workload, config: MachineConfig, mode: str,
     registry = SyncRegistry(system.engine, config, n_tasks)
     workload.allocate(system.allocator, n_tasks, _task_home(mode, n_cmps))
 
-    # Op-tape compilation (repro.workloads.tape): trace each task's
-    # program once and replay the flat tape — in slipstream mode one tape
-    # serves the R-stream, the A-stream, and every recovery refork.  Only
-    # sound for workloads whose op stream ignores the stream role
-    # (Workload.traceable); others keep the generator path, as does
-    # compile_tape=False (the differential-testing oracle).
-    use_tape = config.compile_tape and getattr(workload, "traceable", True)
+    # Op-tape compilation (repro.workloads.tape): trace each program once
+    # and replay the flat tape.  The cache decides how many tapes a task
+    # needs: one shared by every role for role-independent workloads (in
+    # slipstream mode the R-stream, the A-stream and every refork), one
+    # per (task, role) otherwise.
     if phase_span is not None:
         phase_span.end()
         phase_span = span_tracer.start_span("engine.tape_compile",
-                                            parent=span_parent,
-                                            enabled=use_tape)
-    tape_cache = (TapeCache(workload, n_tasks, system.space.line_of)
-                  if use_tape else None)
+                                            parent=span_parent)
+    tape_cache = TapeCache(workload, n_tasks, system.space.line_of)
+    if slip:
+        tapes = [(tape_cache.tape_for(task_id, ROLE_R),
+                  tape_cache.tape_for(task_id, ROLE_A))
+                 for task_id in range(n_tasks)]
+    else:
+        tapes = [tape_cache.tape_for(task_id, ROLE_NORMAL)
+                 for task_id in range(n_tasks)]
     if phase_span is not None:
         phase_span.end()
         phase_span = None
@@ -253,13 +256,10 @@ def run_mode(workload, config: MachineConfig, mode: str,
         for task_id in range(n_tasks):
             node = system.nodes[task_id]
             r_ctx = TaskContext(task_id, n_tasks, role=ROLE_R)
-            tape = tape_cache.tape_for(task_id) if use_tape else None
-            make_program = (lambda wl=workload, tid=task_id, nt=n_tasks:
-                            wl.program(TaskContext(tid, nt, role=ROLE_A)))
+            r_tape, a_tape = tapes[task_id]
             pair = SlipstreamPair(system.engine, config, task_id, policy,
-                                  tl_enabled=transparent, si_enabled=si,
-                                  make_program=make_program)
-            pair.tape = tape
+                                  tl_enabled=transparent, si_enabled=si)
+            pair.tape = a_tape
             if adaptive:
                 from repro.slipstream.adaptive import AdaptiveController
                 pair.adaptive = AdaptiveController(pair, node.ctrl)
@@ -276,29 +276,25 @@ def run_mode(workload, config: MachineConfig, mode: str,
                 pair.prefetcher = PatternPrefetcher(
                     pair, node.ctrl, speculative=speculative_barriers)
             pairs.append(pair)
-            r_exec = RStreamExecutor(
-                node.processor(0), r_ctx,
-                None if tape is not None else workload.program(r_ctx),
-                registry, pair, tape=tape)
+            r_exec = RStreamExecutor(node.processor(0), r_ctx, r_tape,
+                                     registry, pair)
             executors.append(r_exec)
             full_processes.append(r_exec.start())
 
-            def spawn_astream(the_pair, program, tape_start=0, node=node,
-                              tid=task_id, nt=n_tasks):
+            def spawn_astream(the_pair, tape_start, node=node, tid=task_id,
+                              nt=n_tasks):
                 if getattr(the_pair, "shutdown", False):
                     return None
                 ctx = TaskContext(tid, nt, role=ROLE_A)
-                a_exec = AStreamExecutor(node.processor(1), ctx, program,
-                                         registry, the_pair,
-                                         tape=the_pair.tape,
+                a_exec = AStreamExecutor(node.processor(1), ctx,
+                                         the_pair.tape, registry, the_pair,
                                          tape_start=tape_start)
                 the_pair.a_executor_history.append(a_exec)
                 a_exec.start()
                 return a_exec
 
             pair.spawn_astream = spawn_astream
-            pair.a_executor = spawn_astream(
-                pair, None if tape is not None else make_program())
+            pair.a_executor = spawn_astream(pair, 0)
             executors.append(pair.a_executor)
     else:
         for task_id in range(n_tasks):
@@ -309,12 +305,7 @@ def run_mode(workload, config: MachineConfig, mode: str,
                 node = system.nodes[task_id]
                 processor = node.processor(0)
             ctx = TaskContext(task_id, n_tasks, role=ROLE_NORMAL)
-            if use_tape:
-                executor = TaskExecutor(processor, ctx, None, registry,
-                                        tape=tape_cache.tape_for(task_id))
-            else:
-                executor = TaskExecutor(processor, ctx,
-                                        workload.program(ctx), registry)
+            executor = TaskExecutor(processor, ctx, tapes[task_id], registry)
             executors.append(executor)
             full_processes.append(executor.start())
 

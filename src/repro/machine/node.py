@@ -17,14 +17,14 @@ class CmpNode:
     fabric, the DC resource is ``fabric.dcs[node_id]``)."""
 
     def __init__(self, engine: Engine, config: MachineConfig, node_id: int,
-                 fabric: CoherenceFabric, space, classifier=None):
+                 fabric: CoherenceFabric, classifier=None):
         self.engine = engine
         self.config = config
         self.node_id = node_id
         self.ctrl = L2Controller(engine, config, node_id, fabric,
                                  classifier=classifier)
         self.processors: List[Processor] = [
-            Processor(engine, config, self.ctrl, idx, space)
+            Processor(engine, config, self.ctrl, idx)
             for idx in range(config.procs_per_cmp)]
 
     def processor(self, idx: int) -> Processor:

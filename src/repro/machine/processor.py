@@ -1,13 +1,19 @@
 """In-order processor timing model.
 
 MIPSY-like: one instruction slot per cycle, blocking memory operations.
-The processor provides the primitives executors drive programs with:
+The processor holds the timing state and primitives executors drive
+programs with:
 
 * :meth:`do_compute` — private computation (accumulated, no event cost),
-* :meth:`do_load` / :meth:`do_store` — shared-memory ops through the node's
-  L2 controller, with L1-hit fast paths,
+* :meth:`flush` — turn accumulated local time into simulated time,
 * :meth:`timed_wait` — run a synchronization generator and charge the
   elapsed cycles to a breakdown category (barrier/lock/arsync).
+
+Loads and stores have no method here: the executors' tape replay loops
+(repro.runtime.executor, repro.slipstream.astream) probe the L1 through
+``_l1``, book the op's busy cycle, take the ``_maybe_stall`` fault
+opportunity and run the L2 controller's miss path inline, charging the
+wait through :meth:`_charge`.
 
 Cycle accounting follows Figure 6 of the paper: every op costs one *busy*
 cycle; cycles a memory op spends waiting beyond that are *stall*; waits in
@@ -38,13 +44,12 @@ class Processor:
     """One processor of a CMP node."""
 
     def __init__(self, engine: Engine, config: MachineConfig,
-                 ctrl: L2Controller, proc_idx: int, space,
+                 ctrl: L2Controller, proc_idx: int,
                  name: Optional[str] = None):
         self.engine = engine
         self.config = config
         self.ctrl = ctrl
         self.proc_idx = proc_idx
-        self.space = space
         self.name = name or f"cpu[{ctrl.node_id}.{proc_idx}]"
         self.breakdown = TimeBreakdown()
         self._acc = 0  # accumulated local delay not yet turned into sim time
@@ -52,7 +57,7 @@ class Processor:
         #: fault injector (None in fault-free builds; see repro.faults)
         self._faults = engine.faults
         #: this processor's private L1 (nodes build the controller before
-        #: their processors); bound once for the probe fast path
+        #: their processors); the replay loops probe it directly
         self._l1 = ctrl.l1s[proc_idx]
         #: observability probe mirroring non-zero breakdown charges as
         #: ``cpu.wait`` events (None without a spine; see repro.obs)
@@ -97,93 +102,6 @@ class Processor:
         p = self._p_wait
         if p is not None and cycles and p.live:
             p(self.name, bucket=category, cycles=cycles)
-
-    # ------------------------------------------------------------------
-    # Memory operations
-    # ------------------------------------------------------------------
-    def probe_load(self, role: str, line_addr: int) -> bool:
-        """Issue a load of ``line_addr`` and try the L1 fast path.
-
-        Plain function (never suspends): books the op's busy cycle, takes
-        the per-op fault-stall opportunity, and probes the L1.  True on a
-        hit — the load is complete; False on a miss — the caller must run
-        :meth:`load_miss` for the same line.
-        """
-        self.ops += 1
-        self.loads += 1
-        self.breakdown.busy += 1
-        self._acc += 1
-        if self._faults is not None:
-            self._maybe_stall()
-        if self._l1.lookup(line_addr) is not None:
-            self.ctrl.on_l1_hit(line_addr, role)
-            return True
-        return False
-
-    def load_miss(self, role: str, line_addr: int,
-                  transparent: bool = False) -> Generator:
-        """Slow half of a load whose :meth:`probe_load` missed."""
-        yield from self.flush()
-        start = self.engine.now
-        yield from self.ctrl.load(self.proc_idx, role, line_addr,
-                                  transparent=transparent)
-        self._charge("stall", self.engine.now - start)
-
-    def probe_store(self, role: str, line_addr: int,
-                    in_critical_section: bool = False) -> bool:
-        """Issue a store of ``line_addr`` and try the owned-line fast path.
-
-        Plain function: books the busy cycle, takes the fault-stall
-        opportunity, and attempts the controller's fast store (which also
-        runs the invariant checker's store hook).  True when the line was
-        already owned; False when ownership must be acquired via
-        :meth:`store_miss`.
-        """
-        self.ops += 1
-        self.stores += 1
-        self.breakdown.busy += 1
-        self._acc += 1
-        if self._faults is not None:
-            self._maybe_stall()
-        return self.ctrl.try_fast_store(self.proc_idx, role, line_addr,
-                                        in_critical_section)
-
-    def store_miss(self, role: str, line_addr: int,
-                   in_critical_section: bool = False) -> Generator:
-        """Slow half of a store whose :meth:`probe_store` missed."""
-        yield from self.flush()
-        start = self.engine.now
-        yield from self.ctrl.store(self.proc_idx, role, line_addr,
-                                   in_critical_section=in_critical_section)
-        self._charge("stall", self.engine.now - start)
-
-    def do_load(self, role: str, addr: int,
-                transparent: bool = False) -> Generator:
-        """Blocking load; 1 busy cycle + stall for any miss latency."""
-        line_addr = self.space.line_of(addr)
-        if not self.probe_load(role, line_addr):
-            yield from self.load_miss(role, line_addr,
-                                      transparent=transparent)
-
-    def do_store(self, role: str, addr: int,
-                 in_critical_section: bool = False) -> Generator:
-        """Blocking store; 1 busy cycle + stall for ownership acquisition."""
-        line_addr = self.space.line_of(addr)
-        if not self.probe_store(role, line_addr, in_critical_section):
-            yield from self.store_miss(role, line_addr,
-                                       in_critical_section=in_critical_section)
-
-    def prefetch_line(self, line_addr: int) -> Generator:
-        """A-stream: fire-and-forget ownership prefetch (1 busy cycle)."""
-        self.ops += 1
-        self.breakdown.busy += 1
-        self._acc += 1
-        yield from self.flush()
-        self.ctrl.exclusive_prefetch(line_addr)
-
-    def do_exclusive_prefetch(self, addr: int) -> Generator:
-        """Byte-address wrapper around :meth:`prefetch_line`."""
-        yield from self.prefetch_line(self.space.line_of(addr))
 
     # ------------------------------------------------------------------
     # Synchronization waits

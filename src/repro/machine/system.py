@@ -66,7 +66,7 @@ class System:
             RequestClassifier() if classify_requests else None)
         self.fabric = CoherenceFabric(self.engine, config, self.space)
         self.nodes: List[CmpNode] = [
-            CmpNode(self.engine, config, node_id, self.fabric, self.space,
+            CmpNode(self.engine, config, node_id, self.fabric,
                     classifier=self.classifier)
             for node_id in range(config.n_cmps)]
 

@@ -1,15 +1,14 @@
 """``dir-inv``: the paper's invalidate-based fully-mapped directory
 protocol, plus the Section-4 slipstream extensions, as a table.
 
-This is a row-for-row re-expression of the former hand-written
-generators in :mod:`repro.memory.protocol` (``_read_at_home`` /
-``_excl_at_home`` / ``_transparent_at_home`` and the writeback paths).
-The interpreter running this table is bit-identical to those generators
-— the differential suite in ``tests/test_proto.py`` and the 27 golden
-end-states enforce it.
+This is a row-for-row re-expression of the hand-written directory
+generators :mod:`repro.memory.protocol` once held.  Those ran beside
+this table as a differential oracle until the golden corpus
+(``tests/golden_corpus.json``) was recorded with both agreeing on every
+``dir-inv`` case; the corpus now holds the table to that behaviour.
 
-Transients (the windows where the hand-written code simply *was*
-suspended inside a generator) are named explicitly:
+Transients (the windows where a transaction is suspended inside a timed
+action) are named explicitly:
 
 * ``BusyInt`` — intervention outstanding at the exclusive owner,
 * ``BusyInv`` — invalidation fan-out outstanding at the sharers,

@@ -2,12 +2,12 @@
 
 A :class:`ProtocolEngine` binds one :class:`~repro.memory.proto.table.
 ProtocolTable` to one :class:`~repro.memory.protocol.CoherenceFabric`
-and dispatches directory-side events through it.  The timed actions
-reuse the fabric's transaction machinery (``_intervene``,
-``_invalidate_sharers``, ``_send_si_hint``, the bare-int ``mem_time``
-yields), so a table row charges exactly the Table-1 resources the
-hand-written generators charged — the dispatch layer adds bookkeeping,
-never cycles.
+and dispatches directory-side events through it; it is the fabric's
+one dispatch path.  The timed actions reuse the fabric's transaction
+machinery (``_intervene``, ``_invalidate_sharers``, ``_send_si_hint``,
+the bare-int ``mem_time`` yields), so a table row charges exactly the
+Table-1 resources those pieces charge — the dispatch layer adds
+bookkeeping, never cycles.
 
 Two entry points:
 
@@ -21,8 +21,8 @@ Two entry points:
 Transient states are *declared* per row (``via``) for the lint and the
 docs; at run time the stable ``entry.state`` is never overwritten while
 a transaction is suspended — concurrent writebacks race-check against
-the stable state plus the owner pointer, exactly as the pre-table
-protocol (and a real directory's busy bit + saved state) did.
+the stable state plus the owner pointer, as a real directory's busy
+bit + saved state does.
 
 A reachable ``(state, event)`` pair with no row raises
 :class:`ProtocolHole` — the runtime backstop behind the static

@@ -4,8 +4,8 @@ A protocol is a :class:`ProtocolTable`: a set of :class:`Row`s mapping
 ``(stable directory state, Event) -> (guard, actions, commits, reply,
 next state)``, over explicit :class:`Msg`/:class:`Event` enums.  The
 generic interpreter (:mod:`repro.memory.proto.engine`) walks the rows at
-run time, charging the same Table-1 timing resources the hand-written
-generators charged; the static lint (:mod:`repro.memory.proto.lint`)
+run time, charging the Table-1 timing resources of each action; the
+static lint (:mod:`repro.memory.proto.lint`)
 walks them offline and proves exhaustiveness, reachability, action
 legality, and freedom from stall cycles.
 

@@ -1,9 +1,13 @@
 """Coherence fabric: directory transactions with Table 1 timing.
 
-This module implements the invalidate-based fully-mapped directory protocol
-the paper simulates, as *transaction generators* that the node-side L2
-controller runs inline in the requesting processor's process.  A transaction
-walks the message path of the real protocol, charging:
+The fabric carries every coherence transaction of the machine, as a
+*transaction generator* that the node-side L2 controller runs inline in
+the requesting processor's process.  What the home directory does with a
+request is data: the running protocol's table (repro.memory.proto,
+``dir-inv`` by default), interpreted by :class:`ProtocolEngine`, which
+is the one dispatch path for demand requests, writebacks and replacement
+hints.  The fabric supplies the timed machinery the table's actions use
+and walks the message path of the real protocol around them, charging:
 
 * ``bus_time`` for each L2 <-> DC hop,
 * DC occupancy (a FIFO :class:`~repro.sim.Resource` per node) with the
@@ -24,22 +28,20 @@ memory fetch, which is how real protocols resolve the same race.
 Section 4 support: transparent loads (:meth:`CoherenceFabric.fetch` with
 ``kind='transparent'``), the future-sharer list, and self-invalidation
 hints delivered either directly to an exclusive owner or piggybacked on a
-read-exclusive reply.
+read-exclusive reply (the ``dir-inv`` table's rows decide when).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List
 
 from repro.config import MachineConfig
-from repro.memory import cache as cachemod
 from repro.memory.address import AddressSpace
-from repro.memory.directory import (EXCLUSIVE, SHARED, UNCACHED,
-                                    DirectoryEntry, DirectoryState)
+from repro.memory.directory import EXCLUSIVE, DirectoryEntry, DirectoryState
 from repro.memory.network import Network
 from repro.memory.proto import table_by_name
 from repro.memory.proto.engine import ProtocolEngine
-from repro.memory.proto.table import Capabilities, Event
+from repro.memory.proto.table import Event
 from repro.sim import Engine, Process, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -107,16 +109,9 @@ class CoherenceFabric:
         self._p_si_hint = None if obs is None else obs.probe("si-hint")
         #: name of the protocol this fabric runs (MachineConfig.protocol)
         self.protocol_name = config.protocol
-        #: table interpreter (repro.memory.proto); None keeps the
-        #: hand-written dir-inv generators as a differential oracle
-        #: (config validation pins proto_engine=False to dir-inv)
-        if config.proto_engine:
-            self._proto: Optional[ProtocolEngine] = ProtocolEngine(
-                table_by_name(config.protocol), self)
-            self.caps = self._proto.caps
-        else:
-            self._proto = None
-            self.caps = Capabilities()
+        #: table interpreter (repro.memory.proto): the directory's logic
+        self._proto = ProtocolEngine(table_by_name(config.protocol), self)
+        self.caps = self._proto.caps
         #: invariant-checker suite, if one was installed on the engine
         #: before the machine was assembled (see repro.check); attached
         #: after `caps` so the checker can gate its predicates on them
@@ -213,19 +208,8 @@ class CoherenceFabric:
             if role == "R":
                 self.directory.reset_future_sharer(line, node)
             entry = self.directory.entry(line)
-            proto = self._proto
-            if proto is not None:
-                result = yield from proto.dispatch(
-                    node, home, line, entry, _KIND_EVENT[kind], role)
-            elif kind == READ:
-                result = yield from self._read_at_home(node, home, line,
-                                                       entry)
-            elif kind == TRANSPARENT:
-                result = yield from self._transparent_at_home(node, home,
-                                                              line, entry)
-            else:  # EXCL and UPGRADE share the ownership path.
-                result = yield from self._excl_at_home(node, home, line,
-                                                       entry, kind)
+            result = yield from self._proto.dispatch(
+                node, home, line, entry, _KIND_EVENT[kind], role)
             if checker is not None:
                 checker.on_txn_end(node, line, kind, role, result)
             completed = True
@@ -280,90 +264,6 @@ class CoherenceFabric:
                 if ctrl is not None:
                     ctrl.watchdog_trips += 1
         yield from self.network.transfer(node, home, data=False)
-
-    # ------------------------------------------------------------------
-    # Directory-side actions (run while holding the line guard; dispatch
-    # is inlined in fetch())
-    # ------------------------------------------------------------------
-    def _read_at_home(self, node: int, home: int, line: int,
-                      entry: DirectoryEntry) -> Generator:
-        config = self.config
-        if entry.state == EXCLUSIVE and entry.owner != node:
-            if (self.migratory_enabled
-                    and entry.migrations >= self.migratory_threshold):
-                # Migratory grant: hand the reader exclusive ownership in
-                # one transaction (it is about to write anyway).
-                self.migratory_grants += 1
-                p = self._p_migratory
-                if p is not None and p.live:
-                    p(f"node{node}", f"line={line:#x}")
-                yield from self._intervene(home, line, entry,
-                                           invalidate=True)
-                entry.set_exclusive(node)
-                return FetchResult(state=cachemod.MODIFIED)
-            # Intervention: pull the dirty copy out of the owner's cache.
-            yield from self._intervene(home, line, entry, invalidate=False)
-            entry.add_sharer(node)
-            return FetchResult(state=cachemod.SHARED)
-        if entry.state == EXCLUSIVE and entry.owner == node:
-            # Raced with our own writeback; serve from memory.
-            entry.clear()
-        yield config.mem_time
-        entry.add_sharer(node)
-        return FetchResult(state=cachemod.SHARED)
-
-    def _excl_at_home(self, node: int, home: int, line: int,
-                      entry: DirectoryEntry, kind: str) -> Generator:
-        config = self.config
-        if entry.state == EXCLUSIVE:
-            if entry.owner == node:
-                # Already owner (raced upgrade); just confirm.
-                return FetchResult(state=cachemod.MODIFIED)
-            yield from self._intervene(home, line, entry, invalidate=True)
-        elif entry.state == SHARED:
-            others = sorted(entry.sharers - {node})
-            if others:
-                yield from self._invalidate_sharers(home, line, others)
-            needs_data = kind == EXCL or node not in entry.sharers
-            if needs_data:
-                yield config.mem_time
-        else:  # UNCACHED
-            yield config.mem_time
-        entry.set_exclusive(node)
-        si_hint = (self.si_enabled and
-                   bool(self.directory.future_sharers_other_than(line, node)))
-        if si_hint and self.checker is not None:
-            self.checker.on_si_hint(line, node)
-        return FetchResult(state=cachemod.MODIFIED, si_hint=si_hint)
-
-    def _transparent_at_home(self, node: int, home: int, line: int,
-                             entry: DirectoryEntry) -> Generator:
-        """Section 4.1: transparent load.
-
-        Exclusive line: reply with the (possibly stale) memory copy, do not
-        disturb the owner, record the requester as a future sharer, and send
-        the owner a self-invalidation hint.  Non-exclusive: upgrade to a
-        normal load; the requester becomes both sharer and future sharer.
-        """
-        config = self.config
-        self.directory.add_future_sharer(line, node)
-        if entry.state == EXCLUSIVE and entry.owner != node:
-            owner = entry.owner
-            self.transparent_replies += 1
-            yield config.mem_time
-            # The owner may have written the line back while memory was
-            # being read; only hint a still-standing exclusive owner.
-            if (self.si_enabled and entry.state == EXCLUSIVE
-                    and entry.owner == owner):
-                self._send_si_hint(home, owner, line)
-            return FetchResult(state=cachemod.SHARED, transparent=True)
-        # shared / uncached / (degenerate: we are the owner) -> normal load
-        self.upgraded_transparent += 1
-        if entry.state == EXCLUSIVE and entry.owner == node:
-            entry.clear()
-        yield config.mem_time
-        entry.add_sharer(node)
-        return FetchResult(state=cachemod.SHARED, upgraded=True)
 
     # ------------------------------------------------------------------
     # Remote-cache operations
@@ -456,11 +356,7 @@ class CoherenceFabric:
         """Dirty eviction (or SI invalidation of a dirty line): the home's
         entry is cleared and the writeback's occupancy is charged without
         blocking the evicting node."""
-        entry = self.directory.entry(line)
-        if self._proto is not None:
-            self._proto.apply(node, line, entry, Event.WB)
-        elif entry.state == EXCLUSIVE and entry.owner == node:
-            entry.clear()
+        self._proto.apply(node, line, self.directory.entry(line), Event.WB)
         self.writebacks += 1
         self._post_writeback_traffic(node, line)
         if self.checker is not None:
@@ -469,11 +365,8 @@ class CoherenceFabric:
     def writeback_downgrade(self, node: int, line: int) -> None:
         """Self-invalidation of a producer-consumer line: data goes back to
         memory and the owner keeps a shared copy."""
-        entry = self.directory.entry(line)
-        if self._proto is not None:
-            self._proto.apply(node, line, entry, Event.WB_DG)
-        elif entry.state == EXCLUSIVE and entry.owner == node:
-            entry.downgrade_owner_to_sharer()
+        self._proto.apply(node, line, self.directory.entry(line),
+                          Event.WB_DG)
         self.writebacks += 1
         self._post_writeback_traffic(node, line)
         if self.checker is not None:
@@ -485,11 +378,8 @@ class CoherenceFabric:
         future-sharer bit stay in sync (cheap control message)."""
         entry = self.directory.peek(line)
         if entry is not None:
-            if self._proto is not None:
-                self._proto.apply(node, line, entry, Event.REPL,
-                                  transparent=transparent)
-            elif not transparent:
-                entry.remove_sharer(node)
+            self._proto.apply(node, line, entry, Event.REPL,
+                              transparent=transparent)
         self.directory.reset_future_sharer(line, node)
         home = self.space.home_of_line(line)
         self.network.post_transfer(node, home, data=False)

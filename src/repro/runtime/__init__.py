@@ -2,8 +2,10 @@
 
 Workloads are *operation-stream programs*: Python generators that yield the
 ops in :mod:`repro.runtime.ops` (compute bursts, shared loads/stores,
-barriers, locks, events...).  Executors (:mod:`repro.runtime.executor`)
-drive these programs through a :class:`~repro.machine.processor.Processor`.
+barriers, locks, events...).  Each program is traced into an op-tape
+(:mod:`repro.workloads.tape`) that the executors
+(:mod:`repro.runtime.executor`) replay on a
+:class:`~repro.machine.processor.Processor`.
 The slipstream-aware A-stream executor lives in :mod:`repro.slipstream`.
 
 Synchronization objects (:mod:`repro.runtime.sync`) play the role of the

@@ -1,4 +1,4 @@
-"""Drives a task program on a processor (single/double-mode semantics).
+"""Drives a task's compiled op-tape on a processor (single/double mode).
 
 :class:`TaskExecutor` is the conventional executor: every op is performed.
 The slipstream R-stream executor subclasses it to add token insertion,
@@ -6,23 +6,20 @@ deviation checking, input forwarding, and self-invalidation kicks; the
 A-stream executor (different op semantics entirely) lives in
 :mod:`repro.slipstream.astream`.
 
-Two execution paths produce identical simulations:
-
-* the **generator path** (``program``) pulls ``Op`` objects from the
-  workload generator and type-dispatches each one;
-* the **tape path** (``tape``, see :mod:`repro.workloads.tape`) replays a
-  pre-compiled stream of ``(opcode, int)`` steps in a tight loop, calling
-  the processor's plain-function probes directly and dropping into
-  generator dispatch only for misses and non-memory ops.
-
-The paths are cycle-identical because the batched ops (compute bursts,
-L1-hit loads, owned-line fast stores) never yield to the engine, so no
-simulation state can change between them either way.
+An executor replays an :class:`~repro.workloads.tape.OpTape` of
+``(opcode, int)`` steps in a tight loop: compute bursts, L1-hit loads and
+owned-line fast stores are batched into local counters, the processor's
+L1 probe and the controller's fast store are called directly, and only
+misses and the generic (synchronization and I/O) ops reach a generator
+— the controller's miss path or :meth:`TaskExecutor.dispatch`.  The
+batched ops never yield to the engine, so no simulation state can change
+between them, and their counters are committed before anything
+externally visible happens.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterator, Optional
+from typing import Generator, Optional
 
 from repro.machine.processor import Processor
 from repro.runtime import ops as op
@@ -33,17 +30,16 @@ from repro.sim import Process
 
 
 class TaskExecutor:
-    """Executes a program's ops one-for-one (conventional task)."""
+    """Executes a task's ops one-for-one (conventional task)."""
 
-    def __init__(self, processor: Processor, ctx: TaskContext,
-                 program: Optional[Iterator], registry: SyncRegistry,
-                 name: Optional[str] = None, tape=None, tape_start: int = 0):
+    def __init__(self, processor: Processor, ctx: TaskContext, tape,
+                 registry: SyncRegistry, name: Optional[str] = None,
+                 tape_start: int = 0):
         self.processor = processor
         self.ctx = ctx
-        self.program = program
-        self.registry = registry
-        #: compiled OpTape replayed instead of ``program`` when set
+        #: the compiled OpTape this executor replays
         self.tape = tape
+        self.registry = registry
         #: replay start step (used by recovery reforks; see seek_session)
         self.tape_start = tape_start
         self.name = name or f"task{ctx.task_id}({ctx.role})"
@@ -55,33 +51,21 @@ class TaskExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> Process:
-        # The tape path gets its own process body: the replay loop IS the
-        # outermost generator, so every engine resume reaches the waiting
-        # frame without trampolining through a wrapper.
-        body = self._replay() if self.tape is not None else self._run()
-        self.process = Process(self.processor.engine, body, name=self.name)
+        # The replay loop IS the process body, so every engine resume
+        # reaches the waiting frame without trampolining through a wrapper.
+        self.process = Process(self.processor.engine, self._replay(),
+                               name=self.name)
         return self.process
 
-    def _run(self) -> Generator:
-        do_compute = self.processor.do_compute
-        for operation in self.program:
-            # Compute is the most common op and never suspends: handle it
-            # inline instead of allocating a dispatch generator for it.
-            if type(operation) is op.Compute:
-                do_compute(operation.cycles)
-                continue
-            yield from self.dispatch(operation)
-        yield from self._finish()
-
     def _replay(self) -> Generator:
-        """Tape path: consume compute + L1-hit + fast-store runs in a
-        tight loop; only misses and generic ops reach the generators.
+        """Consume compute + L1-hit + fast-store runs in a tight loop;
+        only misses and generic ops reach the generators.
 
-        The bodies of :meth:`Processor.probe_load` / ``probe_store`` /
-        ``flush`` are inlined here (their semantics — counter order, the
-        per-op fault-stall opportunity, the single flush before a
-        globally-visible action — must be kept in lockstep; the
-        differential tests in tests/test_tape.py enforce it).
+        Each load or store books one busy cycle and one op, takes the
+        per-op fault-stall opportunity, then probes the L1 (loads) or
+        tries the controller's fast store (stores).  A miss commits the
+        batched counters, flushes the accumulated local time once, and
+        runs the controller's miss path, charging its wait as stall.
         """
         tape = self.tape
         steps = tape.steps
@@ -110,7 +94,7 @@ class TaskExecutor:
         # every batched op contributes equally to breakdown.busy and
         # processor._acc, so one local covers both.  A fault-injected
         # stall goes straight to processor._acc (see _maybe_stall) and is
-        # summed with `pend` at the flush, preserving the oracle's timing.
+        # summed with `pend` at the flush.
         pend = 0
         n_ops = n_loads = n_stores = 0
         for code, arg in steps:
@@ -185,14 +169,9 @@ class TaskExecutor:
     # Op dispatch
     # ------------------------------------------------------------------
     def dispatch(self, operation) -> Generator:
+        """Perform one generic (synchronization or I/O) op."""
         kind = type(operation)
-        if kind is op.Compute:
-            self.processor.do_compute(operation.cycles)
-        elif kind is op.Load:
-            yield from self._on_load(operation)
-        elif kind is op.Store:
-            yield from self._on_store(operation)
-        elif kind is op.Barrier:
+        if kind is op.Barrier:
             yield from self._on_barrier(operation)
         elif kind is op.LockAcquire:
             yield from self._on_lock_acquire(operation)
@@ -214,14 +193,6 @@ class TaskExecutor:
     # ------------------------------------------------------------------
     # Default (conventional) semantics; slipstream executors override.
     # ------------------------------------------------------------------
-    def _on_load(self, operation) -> Generator:
-        yield from self.processor.do_load(self.ctx.role, operation.addr)
-
-    def _on_store(self, operation) -> Generator:
-        yield from self.processor.do_store(
-            self.ctx.role, operation.addr,
-            in_critical_section=self.cs_depth > 0)
-
     def _on_barrier(self, operation) -> Generator:
         barrier = self.registry.barrier(operation.bid)
         yield from self.processor.timed_wait(barrier.arrive(), "barrier")
@@ -273,7 +244,6 @@ class TaskExecutor:
         # Flush so a forwarded result (slipstream) is timestamped after
         # the operation's cost.
         yield from self.processor.flush()
-        self.ctx.inputs[operation.key] = True
 
     def _on_output(self, operation) -> Generator:
         self.processor.do_compute(operation.cycles)

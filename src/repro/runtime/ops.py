@@ -8,8 +8,9 @@ observation that SPMD kernels compute addresses and control flow from
 private data.
 
 The slipstream A-stream executor reinterprets several of these ops (skips
-synchronization, drops or converts stores, forwards ``Input`` results), so
-the *same program* serves as R-stream and A-stream, exactly as in the paper.
+synchronization, drops or converts stores, waits for the R-stream's
+``Input``), so the *same program* serves as R-stream and A-stream, exactly
+as in the paper.
 """
 
 from __future__ import annotations

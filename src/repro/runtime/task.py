@@ -4,13 +4,13 @@ A :class:`TaskContext` is what a workload program sees: its task id, the
 total task count, and (in slipstream mode) which stream it is.  Programs
 must derive *all* control flow and addressing from the context and private
 state — that is the SPMD property the paper's A-stream accuracy argument
-rests on.
+rests on.  Programs are traced to op-tapes before the run starts, so no
+run-time value (such as an Input's result) can reach them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
 
 ROLE_NORMAL = "N"      # single/double mode task
 ROLE_R = "R"           # slipstream full task
@@ -24,9 +24,6 @@ class TaskContext:
     task_id: int
     n_tasks: int
     role: str = ROLE_NORMAL
-    #: values produced by Input ops (filled by the executor; keyed by the
-    #: Input op's key).  The A-stream receives the R-stream's values.
-    inputs: Dict[object, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0 <= self.task_id < self.n_tasks:
@@ -38,8 +35,3 @@ class TaskContext:
     @property
     def is_astream(self) -> bool:
         return self.role == ROLE_A
-
-    def sibling(self, role: str) -> "TaskContext":
-        """The same logical task under a different role (A-stream fork)."""
-        return TaskContext(self.task_id, self.n_tasks, role=role,
-                           inputs=self.inputs)

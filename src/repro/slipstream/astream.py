@@ -15,19 +15,21 @@ Reduction rules applied to the op stream:
   progress).  With self-invalidation support enabled, a load issued one or
   more sessions ahead of the R-stream, or inside a critical section, is a
   *transparent load* (Section 4.1); otherwise it is a normal load.
-* **Global operations**: ``Input`` waits for the R-stream's forwarded
-  result; ``Output`` is skipped.
+* **Global operations**: ``Input`` waits until the R-stream has
+  performed the same Input; ``Output`` is skipped.
 
-The executor aborts cooperatively (at op boundaries) when the pair requests
-recovery, so it never dies holding protocol resources.
+Loads and stores are applied inline by the tape replay loop
+(:meth:`AStreamExecutor._replay`); the synchronization and I/O ops go
+through the ``_on_*`` overrides below.  The executor aborts
+cooperatively (at op boundaries) when the pair requests recovery, so it
+never dies holding protocol resources.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterator, Optional
+from typing import Generator, Optional
 
 from repro.machine.processor import Processor
-from repro.runtime import ops as op
 from repro.runtime.executor import TaskExecutor
 from repro.runtime.ops import OP_COMPUTE, OP_LOAD, OP_STORE
 from repro.runtime.sync import SyncRegistry
@@ -39,13 +41,12 @@ from repro.sim import Timeout
 class AStreamExecutor(TaskExecutor):
     """Reduced-task executor."""
 
-    def __init__(self, processor: Processor, ctx: TaskContext,
-                 program: Optional[Iterator], registry: SyncRegistry,
-                 pair: SlipstreamPair, name: Optional[str] = None,
-                 tape=None, tape_start: int = 0):
-        super().__init__(processor, ctx, program, registry,
+    def __init__(self, processor: Processor, ctx: TaskContext, tape,
+                 registry: SyncRegistry, pair: SlipstreamPair,
+                 name: Optional[str] = None, tape_start: int = 0):
+        super().__init__(processor, ctx, tape, registry,
                          name=name or f"task{ctx.task_id}(A)",
-                         tape=tape, tape_start=tape_start)
+                         tape_start=tape_start)
         self.pair = pair
         self._input_seq = pair.a_input_seq_base
         #: fault injector (None in fault-free builds; see repro.faults)
@@ -57,31 +58,18 @@ class AStreamExecutor(TaskExecutor):
         self.corruptions = 0
 
     # ------------------------------------------------------------------
-    # Main loops: like TaskExecutor's, plus cooperative abort.
+    # Main loop: like TaskExecutor's, plus cooperative abort.
     # ------------------------------------------------------------------
-    def _run(self) -> Generator:
-        do_compute = self.processor.do_compute
-        for operation in self.program:
-            if self.pair.abort_requested:
-                return  # recovery in progress; exit at an op boundary
-            if type(operation) is op.Compute:
-                do_compute(operation.cycles)
-                continue
-            yield from self.dispatch(operation)
-        yield from self._finish()
-
     def _replay(self) -> Generator:
-        """Tape path with the A-stream's reduction rules inlined.
+        """Tape replay with the A-stream's reduction rules inlined.
 
-        Per-step semantics mirror the ``_on_*`` overrides below exactly —
-        including hook order: a transparent load is counted (and shown to
-        the checker) before the L1 probe, and the pattern log records the
-        line whether the probe hits or not.  The abort check runs at every
-        step, as in the generator loop; that is sufficient for
-        cooperative recovery because ``abort_requested`` can only flip
-        while this generator is suspended at a yield.  Like the base
-        replay loop, the probe/flush/prefetch bodies are inlined (kept in
-        lockstep by the differential tests).
+        Hook order: a transparent load is counted (and shown to the
+        checker) before the L1 probe, and the pattern log records the
+        line whether the probe hits or not.  The abort check runs at
+        every step; that is sufficient for cooperative recovery because
+        ``abort_requested`` can only flip while this generator is
+        suspended at a yield.  A converted store is a fire-and-forget
+        exclusive prefetch: one busy cycle, a flush, and the request.
         """
         tape = self.tape
         steps = tape.steps
@@ -157,8 +145,7 @@ class AStreamExecutor(TaskExecutor):
                     charge("stall", engine.now - begin)
             elif code == OP_STORE:
                 if pair.a_session == pair.r_session and self.cs_depth == 0:
-                    # Converted to a non-binding exclusive prefetch
-                    # (Processor.prefetch_line, inlined).
+                    # Converted to a non-binding exclusive prefetch.
                     self.stores_converted += 1
                     processor.ops += n_ops + 1
                     processor.loads += n_loads
@@ -185,39 +172,6 @@ class AStreamExecutor(TaskExecutor):
         breakdown.busy += pend
         processor._acc += pend
         yield from self._finish()
-
-    # ------------------------------------------------------------------
-    # Loads: normal or transparent
-    # ------------------------------------------------------------------
-    def _use_transparent(self) -> bool:
-        if not self.pair.tl_enabled:
-            return False
-        return self.pair.a_sessions_ahead >= 1 or self.cs_depth > 0
-
-    def _on_load(self, operation) -> Generator:
-        transparent = self._use_transparent()
-        if transparent:
-            self.transparent_loads += 1
-            checker = self.processor.engine.checker
-            if checker is not None:
-                checker.on_transparent_issue(self.pair, self.cs_depth)
-        if self.pair.pattern_log is not None:
-            self.pair.pattern_log.record(
-                self.pair.a_session,
-                self.processor.space.line_of(operation.addr))
-        yield from self.processor.do_load("A", operation.addr,
-                                          transparent=transparent)
-
-    # ------------------------------------------------------------------
-    # Stores: skip, or convert to exclusive prefetch
-    # ------------------------------------------------------------------
-    def _on_store(self, operation) -> Generator:
-        if self.pair.same_session and self.cs_depth == 0:
-            self.stores_converted += 1
-            yield from self.processor.do_exclusive_prefetch(operation.addr)
-        else:
-            self.stores_skipped += 1
-            self.processor.do_compute(1)  # executed but not committed
 
     # ------------------------------------------------------------------
     # Synchronization: token consumption instead of the real routine
@@ -284,13 +238,12 @@ class AStreamExecutor(TaskExecutor):
     # Global operations
     # ------------------------------------------------------------------
     def _on_input(self, operation) -> Generator:
-        """Wait (under A-R sync accounting) for the R-stream's result."""
+        """Wait (under A-R sync accounting) for the R-stream's Input."""
         seq = self._next_input_seq()
         event = self.pair.input_event(seq)
         yield from self.processor.timed_wait(self._poll_input(event),
                                              "arsync")
         if event.triggered:
-            self.ctx.inputs[operation.key] = event.value
             self.processor.do_compute(1)
 
     def _poll_input(self, event) -> Generator:

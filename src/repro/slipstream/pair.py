@@ -9,39 +9,11 @@ channel, and the recovery machinery that reforks a deviated A-stream.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Iterator, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from repro.config import MachineConfig
-from repro.runtime import ops as op
 from repro.slipstream.arsync import ARSyncPolicy
 from repro.sim import Engine, Process, SimEvent, SimSemaphore, Timeout
-
-
-def fast_forward(program: Iterator, sessions: int,
-                 counters: Optional[dict] = None) -> Iterator:
-    """Consume ops (in zero simulated time) until ``sessions`` session
-    boundaries have passed; return the program positioned just after.
-
-    Used to refork an A-stream at the R-stream's current session (the
-    paper's task-recreation model, with its cost charged separately via
-    ``recovery_fork_cycles``).  If ``counters`` is given, the number of
-    skipped ``Input`` ops is recorded under ``"inputs"`` so the reforked
-    A-stream's input-forwarding sequence stays aligned with its R-stream.
-    """
-    skipped = 0
-    inputs = 0
-    while skipped < sessions:
-        try:
-            operation = next(program)
-        except StopIteration:
-            break
-        if isinstance(operation, (op.Barrier, op.EventWait)):
-            skipped += 1
-        elif isinstance(operation, op.Input):
-            inputs += 1
-    if counters is not None:
-        counters["inputs"] = inputs
-    return program
 
 
 class SlipstreamPair:
@@ -50,7 +22,6 @@ class SlipstreamPair:
     def __init__(self, engine: Engine, config: MachineConfig, task_id: int,
                  policy: ARSyncPolicy, tl_enabled: bool = False,
                  si_enabled: bool = False,
-                 make_program: Callable[[], Iterator] = None,
                  spawn_astream: Optional[Callable[..., object]] = None):
         self.engine = engine
         self.config = config
@@ -60,13 +31,12 @@ class SlipstreamPair:
         self.tl_enabled = tl_enabled
         #: Section 4.2: self-invalidation hints + sync-point drain
         self.si_enabled = si_enabled
-        #: factory producing a fresh A-stream program (used by recovery)
-        self.make_program = make_program
-        #: callback that creates and starts a new A-stream executor; wired
-        #: by the mode runner after pair construction
+        #: callback ``spawn_astream(pair, tape_start)`` that creates and
+        #: starts a new A-stream executor; wired by the mode runner after
+        #: pair construction
         self.spawn_astream = spawn_astream
-        #: compiled OpTape shared by both streams (set by the mode runner
-        #: for traceable workloads; None keeps the generator path)
+        #: the A-stream's compiled OpTape (set by the mode runner): the
+        #: initial A-stream and every refork replay it
         self.tape = None
         self.tokens = SimSemaphore(engine, policy.initial_tokens)
         # session bookkeeping
@@ -118,13 +88,8 @@ class SlipstreamPair:
         self.tokens_lost = 0
 
     # ------------------------------------------------------------------
-    # Session queries (used by the A-stream's reduction decisions)
+    # Session query (the checker's transparent-load predicate)
     # ------------------------------------------------------------------
-    @property
-    def same_session(self) -> bool:
-        """Is the A-stream in the same session as its R-stream?"""
-        return self.a_session == self.r_session
-
     @property
     def a_sessions_ahead(self) -> int:
         return self.a_session - self.r_session
@@ -202,12 +167,12 @@ class SlipstreamPair:
             self._input_events[seq] = event
         return event
 
-    def r_complete_input(self, value=None) -> None:
-        """R-stream performed Input #seq; forward the value to the A-stream."""
+    def r_complete_input(self) -> None:
+        """R-stream performed Input #seq; release the A-stream's wait."""
         event = self.input_event(self.r_input_seq)
         self.r_input_seq += 1
         if not event.triggered:
-            event.trigger(value)
+            event.trigger()
 
     # ------------------------------------------------------------------
     # Deviation detection and recovery (Section 3.2)
@@ -259,27 +224,18 @@ class SlipstreamPair:
         """(Re)create the A-stream at the R-stream's current session.
 
         Shared by deviation recovery and by re-promotion after graceful
-        degradation: fast-forwards a fresh program to the R-stream's
-        session, realigns the input-forwarding sequence, resets the token
-        bucket to the policy's initial depth, and spawns the executor.
+        degradation: seeks the A-stream's tape to the R-stream's session
+        (a precomputed O(1) lookup), realigns the input-forwarding
+        sequence, resets the token bucket to the policy's initial depth,
+        and spawns the executor.
         """
         target = self.r_session
-        if self.tape is not None:
-            # Tape path: seeking is a precomputed O(1) lookup instead of
-            # re-generating and consuming the program op by op.
-            start, inputs_skipped = self.tape.seek_session(target)
-            self.a_input_seq_base = inputs_skipped
-            program, tape_start = None, start
-        else:
-            counters = {}
-            program = fast_forward(self.make_program(), target, counters)
-            self.a_input_seq_base = counters.get("inputs", 0)
-            tape_start = 0
+        tape_start, self.a_input_seq_base = self.tape.seek_session(target)
         self.tokens.drain()
         self.tokens.release(self.policy.initial_tokens)
         self.a_session = target
         self.a_reached = target
         self.abort_requested = False
-        self.a_executor = self.spawn_astream(self, program, tape_start)
+        self.a_executor = self.spawn_astream(self, tape_start)
         if self.checker is not None:
             self.checker.on_refork(self)

@@ -6,14 +6,14 @@ the slipstream duties from Sections 3.2 and 4.3:
 * insert A-R tokens when entering (local policies) or exiting (global
   policies) each barrier/event-wait,
 * check for a deviated A-stream at session ends and trigger recovery,
-* complete ``Input`` operations and forward their results to the A-stream,
+* complete ``Input`` operations and signal each one to the A-stream,
 * kick the self-invalidation drain when reaching a synchronization point
   (barrier entry and lock release), when SI is enabled.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterator, Optional
+from typing import Generator, Optional
 
 from repro.machine.processor import Processor
 from repro.runtime.executor import TaskExecutor
@@ -25,13 +25,11 @@ from repro.slipstream.pair import SlipstreamPair
 class RStreamExecutor(TaskExecutor):
     """Full-task executor with slipstream pair management."""
 
-    def __init__(self, processor: Processor, ctx: TaskContext,
-                 program: Optional[Iterator], registry: SyncRegistry,
-                 pair: SlipstreamPair, name: Optional[str] = None,
-                 tape=None, tape_start: int = 0):
-        super().__init__(processor, ctx, program, registry,
-                         name=name or f"task{ctx.task_id}(R)",
-                         tape=tape, tape_start=tape_start)
+    def __init__(self, processor: Processor, ctx: TaskContext, tape,
+                 registry: SyncRegistry, pair: SlipstreamPair,
+                 name: Optional[str] = None):
+        super().__init__(processor, ctx, tape, registry,
+                         name=name or f"task{ctx.task_id}(R)")
         self.pair = pair
 
     # ------------------------------------------------------------------
@@ -76,4 +74,4 @@ class RStreamExecutor(TaskExecutor):
     # ------------------------------------------------------------------
     def _on_input(self, operation) -> Generator:
         yield from super()._on_input(operation)
-        self.pair.r_complete_input(value=operation.key)
+        self.pair.r_complete_input()

@@ -9,8 +9,7 @@ default-configured instances (the sizes used by the experiment drivers).
 
 from repro.workloads.base import Workload
 from repro.workloads.cg import CG
-from repro.workloads.tape import (TAPE_FORMAT_VERSION, OpTape, TapeCache,
-                                  compile_program)
+from repro.workloads.tape import OpTape, TapeCache, compile_program
 from repro.workloads.tracefile import TraceWorkload, dump_trace
 from repro.workloads.dynsched import DynSched
 from repro.workloads.fft import FFT
@@ -52,8 +51,8 @@ def make(name: str) -> Workload:
     return factory()
 
 
-__all__ = ["PAPER_ORDER", "REGISTRY", "TAPE_FORMAT_VERSION", "OpTape",
-           "TapeCache", "TraceWorkload", "Workload", "compile_program",
-           "dump_trace", "make",
+__all__ = ["PAPER_ORDER", "REGISTRY", "OpTape", "TapeCache",
+           "TraceWorkload", "Workload", "compile_program", "dump_trace",
+           "make",
            "CG", "DynSched", "FFT", "Fuzz", "LU", "MG", "Ocean", "SOR",
            "SP", "WaterNSquared", "WaterSpatial"]

@@ -4,7 +4,9 @@ Each workload re-implements the loop structure of one of the paper's nine
 benchmarks (Table 2) as an operation-stream generator.  The generator
 computes shared-array addresses from the task id and loop indices — the
 SPMD property the paper's A-stream accuracy argument rests on — and folds
-private computation into ``Compute`` bursts.
+private computation into ``Compute`` bursts.  A run traces each program
+once into an op-tape (:mod:`repro.workloads.tape`) before it starts, so a
+program sees only its :class:`TaskContext`, never run-time feedback.
 
 Scaling and granularity (see DESIGN.md):
 
@@ -44,12 +46,11 @@ class Workload(ABC):
     #: the data-set size used in the paper (Table 2)
     paper_size: str = ""
     #: True when :meth:`program` is a pure function of ``(task_id,
-    #: n_tasks)`` — i.e. it never branches on ``ctx.role`` or executor
-    #: feedback — so one traced op-tape (repro.workloads.tape) can replay
-    #: for any stream.  Workloads that deliberately diverge per role
-    #: (DynSched's divergent mode) set this False and keep the generator
-    #: path.
-    traceable: bool = True
+    #: n_tasks)`` — i.e. it never branches on ``ctx.role`` — so one traced
+    #: op-tape (repro.workloads.tape) replays for every stream of a task.
+    #: Workloads that deliberately diverge per role (DynSched's divergent
+    #: mode) set this False and get one tape per (task, role).
+    role_independent: bool = True
 
     @abstractmethod
     def allocate(self, allocator: SharedAllocator, n_tasks: int,

@@ -45,9 +45,10 @@ class DynSched(Workload):
         self.forward_decisions = forward_decisions
         self.diverge_rounds = frozenset(diverge_rounds)
         # Divergent mode emits role-dependent op streams (the A-stream
-        # wanders onto extra chunks), so a shared tape would erase the
-        # very deviation this kernel exists to provoke.
-        self.traceable = self.forward_decisions or not self.divergent
+        # wanders onto extra chunks), so each role gets its own tape: a
+        # shared one would erase the very deviation this kernel exists to
+        # provoke.
+        self.role_independent = self.forward_decisions or not self.divergent
         self.data = None
         self.counter = None
 

@@ -2,10 +2,9 @@
 
 A workload ``program(ctx)`` is a Python generator that allocates one
 ``Op`` object per operation and recomputes every shared-array byte
-address on every run.  For SPMD kernels the stream is a pure function of
-``(task_id, n_tasks)`` — the very property the paper's A-stream accuracy
-argument rests on — so the stream can be *compiled once* into a flat,
-immutable tape of primitive ints and replayed any number of times:
+address.  Every run traces each task's program once, before the engine
+starts, into a flat, immutable tape of primitive ints, which the
+executors replay (it is their only execution path):
 
 * ``(OP_COMPUTE, cycles)`` — adjacent ``Compute`` bursts are coalesced at
   compile time (zero-cycle bursts vanish).  Legal because a compute burst
@@ -17,72 +16,44 @@ immutable tape of primitive ints and replayed any number of times:
   wants.
 * ``(OP_GENERIC, index)`` — synchronization and I/O ops keep their
   original ``Op`` object (in :attr:`OpTape.objs`) and replay through the
-  executor's normal dispatch, so barrier/lock/event/Input/Output
-  semantics — and every checker/fault/obs hook they trigger — are
-  byte-for-byte the generator path's.
+  executor's ``dispatch``, so barrier/lock/event/Input/Output semantics —
+  and every checker/fault/obs hook they trigger — run there.
 
-In slipstream mode one tape serves both streams of a pair (the A-stream
-program is generated *from the same trace* instead of a second generator
-walk), and :meth:`OpTape.seek_session` gives deviation recovery an O(1)
-replacement for :func:`repro.slipstream.pair.fast_forward`.
+:meth:`OpTape.seek_session` positions a deviation-recovery refork at the
+R-stream's session in O(1).
 
-Workloads whose stream is *not* role-independent (``DynSched`` in
-divergent mode deliberately emits different ops for the A-stream) set
-``traceable = False`` and keep the generator path; so does any run with
-``MachineConfig.compile_tape=False``, which is the differential-testing
-oracle.
+For SPMD kernels the stream is a pure function of ``(task_id,
+n_tasks)`` — the very property the paper's A-stream accuracy argument
+rests on — so one tape serves the R-stream, the A-stream and every
+refork.  A workload whose stream depends on the role
+(``Workload.role_independent = False``: ``DynSched`` in divergent mode
+deliberately emits different ops for the A-stream) is traced once per
+role instead; :class:`TapeCache` makes that choice.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.runtime import ops as op
 from repro.runtime.ops import OP_COMPUTE, OP_GENERIC, OP_LOAD, OP_STORE
-from repro.runtime.task import TaskContext
-
-#: bump when the tape representation or coalescing rules change; folded
-#: into the experiment result-cache key (repro.experiments.cache)
-TAPE_FORMAT_VERSION = 1
-
-_OPCODE_NAMES = {OP_COMPUTE: "C", OP_LOAD: "L", OP_STORE: "S",
-                 OP_GENERIC: "G"}
+from repro.runtime.task import ROLE_NORMAL, TaskContext
 
 
 class OpTape:
     """One task's compiled operation stream (immutable after compile)."""
 
-    __slots__ = ("steps", "objs", "n_raw", "_boundaries", "_total_inputs",
-                 "_fingerprint")
+    __slots__ = ("steps", "objs", "_boundaries", "_total_inputs")
 
     def __init__(self, steps: List[Tuple[int, int]], objs: Tuple,
-                 n_raw: int, boundaries: List[Tuple[int, int]] = None,
-                 total_inputs: int = None):
+                 boundaries: List[Tuple[int, int]], total_inputs: int):
         self.steps = steps
         self.objs = objs
-        #: op count of the original (uncoalesced) stream
-        self.n_raw = n_raw
-        # Session boundaries, precomputed for seek_session: entry k holds
+        # Session boundaries, collected by compile_program: entry k holds
         # (step index just past the k-th Barrier/EventWait, Input ops
-        # consumed up to that point) — exactly what fast_forward counts.
-        # compile_program collects them during the trace; a direct
-        # construction (tests) scans the finished steps instead.
-        if boundaries is None:
-            boundaries = []
-            inputs = 0
-            for index, (code, arg) in enumerate(steps):
-                if code != OP_GENERIC:
-                    continue
-                operation = objs[arg]
-                if isinstance(operation, (op.Barrier, op.EventWait)):
-                    boundaries.append((index + 1, inputs))
-                elif isinstance(operation, op.Input):
-                    inputs += 1
-            total_inputs = inputs
+        # consumed up to that point).
         self._boundaries = boundaries
         self._total_inputs = total_inputs
-        self._fingerprint = None
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -95,30 +66,17 @@ class OpTape:
     def seek_session(self, sessions: int) -> Tuple[int, int]:
         """Position for a replay starting after ``sessions`` boundaries.
 
-        Returns ``(step_index, inputs_skipped)`` — the tape equivalent of
-        :func:`repro.slipstream.pair.fast_forward`: the step just past the
+        Returns ``(step_index, inputs_skipped)``: the step just past the
         ``sessions``-th Barrier/EventWait, and the number of ``Input`` ops
         before it (so the reforked A-stream's input-forwarding sequence
         stays aligned).  Seeking past the last boundary lands at the end
-        of the tape, exactly as fast-forwarding an exhausted generator.
+        of the tape.
         """
         if sessions <= 0:
             return 0, 0
         if sessions <= len(self._boundaries):
             return self._boundaries[sessions - 1]
         return len(self.steps), self._total_inputs
-
-    def fingerprint(self) -> str:
-        """Content hash of the compiled tape (lazy; for tests/tooling)."""
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            for code, arg in self.steps:
-                digest.update(b"%c%d;" % (ord(_OPCODE_NAMES[code]), arg))
-            for operation in self.objs:
-                digest.update(repr(operation).encode())
-                digest.update(b"\0")
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
 
 
 def compile_program(program: Iterator,
@@ -135,9 +93,7 @@ def compile_program(program: Iterator,
     boundaries: List[Tuple[int, int]] = []
     inputs = 0
     pending = 0          # coalesced compute cycles not yet emitted
-    n_raw = 0
     for operation in program:
-        n_raw += 1
         kind = type(operation)
         if kind is op.Compute:
             pending += operation.cycles
@@ -152,26 +108,24 @@ def compile_program(program: Iterator,
         else:
             append((OP_GENERIC, len(objs)))
             objs.append(operation)
-            # Session boundaries fall out of the trace for free (the
-            # OpTape constructor would otherwise re-scan every step).
             if kind is op.Barrier or kind is op.EventWait:
                 boundaries.append((len(steps), inputs))
             elif kind is op.Input:
                 inputs += 1
     if pending:
         append((OP_COMPUTE, pending))
-    return OpTape(steps, tuple(objs), n_raw,
-                  boundaries=boundaries, total_inputs=inputs)
+    return OpTape(steps, tuple(objs), boundaries, inputs)
 
 
 class TapeCache:
-    """Per-run tape store: each task's program is traced exactly once.
+    """Per-run tape store: each program is traced exactly once.
 
-    In slipstream mode the same tape backs the R-stream, the initial
-    A-stream, and every recovery refork — where the generator path walks
-    the program once per consumer.  Tracing uses a role-neutral context,
-    which is only sound for workloads whose stream ignores the role
-    (``Workload.traceable``); the mode runner enforces that gate.
+    A role-independent workload (``Workload.role_independent``) gets one
+    tape per task, traced with a role-neutral context and shared by
+    every role: the conventional task, or the R-stream, the A-stream and
+    every recovery refork.  Any other workload gets one tape per (task,
+    role), traced with that role's context, so the A-stream replays the
+    path its own role takes.
     """
 
     def __init__(self, workload, n_tasks: int,
@@ -179,12 +133,16 @@ class TapeCache:
         self.workload = workload
         self.n_tasks = n_tasks
         self.line_of = line_of
-        self._tapes: Dict[int, OpTape] = {}
+        self._role_independent = workload.role_independent
+        self._tapes: Dict[Tuple[int, str], OpTape] = {}
 
-    def tape_for(self, task_id: int) -> OpTape:
-        tape = self._tapes.get(task_id)
+    def tape_for(self, task_id: int, role: str) -> OpTape:
+        if self._role_independent:
+            role = ROLE_NORMAL
+        key = (task_id, role)
+        tape = self._tapes.get(key)
         if tape is None:
-            ctx = TaskContext(task_id, self.n_tasks)
+            ctx = TaskContext(task_id, self.n_tasks, role=role)
             tape = compile_program(self.workload.program(ctx), self.line_of)
-            self._tapes[task_id] = tape
+            self._tapes[key] = tape
         return tape

@@ -10,8 +10,7 @@ from repro.sim import Engine, Process, Timeout
 
 
 def make_pair(engine, policy, **kw):
-    return SlipstreamPair(engine, MachineConfig(n_cmps=2), 0, policy,
-                          make_program=lambda: iter(()), **kw)
+    return SlipstreamPair(engine, MachineConfig(n_cmps=2), 0, policy, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -110,9 +109,8 @@ def test_sessions_ahead_accounting(engine):
     Process(engine, consume(pair, [], "x"))
     engine.run()
     assert pair.a_sessions_ahead == 1
-    assert not pair.same_session
     pair.on_r_sync_exit()
-    assert pair.same_session
+    assert pair.a_sessions_ahead == 0
 
 
 def test_token_insertion_counted(engine):
@@ -144,8 +142,7 @@ def test_deviation_requires_configured_lag(engine):
 
 def test_deviation_lag_configurable(engine):
     config = MachineConfig(n_cmps=2, deviation_lag_sessions=2)
-    pair = SlipstreamPair(engine, config, 0, G0,
-                          make_program=lambda: iter(()))
+    pair = SlipstreamPair(engine, config, 0, G0)
     pair.r_session = 3
     pair.a_reached = 2
     assert not pair.deviated()
@@ -158,8 +155,9 @@ def test_deviation_lag_configurable(engine):
 # ----------------------------------------------------------------------
 def test_input_forwarding_in_order(engine):
     pair = make_pair(engine, G1)
-    pair.r_complete_input(value="a")
-    pair.r_complete_input(value="b")
-    assert pair.input_event(0).value == "a"
-    assert pair.input_event(1).value == "b"
+    pair.r_complete_input()
+    assert pair.input_event(0).triggered
+    assert not pair.input_event(1).triggered
+    pair.r_complete_input()
+    assert pair.input_event(1).triggered
     assert not pair.input_event(2).triggered

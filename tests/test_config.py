@@ -59,3 +59,32 @@ def test_validation_rules():
         MachineConfig(line_size=48)
     with pytest.raises(ValueError):
         MachineConfig(page_size=3000)
+
+
+#: out-of-range values a served spec could ask for
+BAD_VALUES = [
+    {"line_size": 0}, {"line_size": -64}, {"page_size": 0},
+    {"l1_size": 0}, {"l2_size": -1024}, {"l1_size": 32},
+    {"l1_assoc": 0}, {"l2_assoc": 0}, {"l2_assoc": -4}, {"l2_assoc": 3},
+    {"l1_assoc": 1024},
+    {"bus_time": -30}, {"mem_time": -1}, {"net_time": -1},
+    {"pi_local_dc_time": -1}, {"ni_remote_dc_time": -1},
+    {"port_data_occupancy": -1}, {"port_ctrl_occupancy": -8},
+    {"lock_local_cycles": -1}, {"barrier_release_cycles": -100},
+    {"l2_hit_cycles": -10}, {"si_drain_interval": -4},
+    {"recovery_fork_cycles": -1}, {"input_forward_cycles": -20},
+    {"deviation_lag_sessions": -1},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES,
+                         ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+def test_out_of_range_values_are_rejected(bad):
+    with pytest.raises(ValueError):
+        MachineConfig(**bad)
+
+
+def test_boundary_values_are_accepted():
+    config = MachineConfig(bus_time=0, deviation_lag_sessions=0,
+                           l1_assoc=1, l2_assoc=16384, si_drain_interval=0)
+    assert config.local_miss_cycles == 110

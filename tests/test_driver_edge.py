@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.experiments.driver import _task_home, run_mode
-from repro.runtime.task import ROLE_A, ROLE_R, TaskContext
+from repro.runtime.task import TaskContext
 from repro.workloads.sor import SOR
 
 
@@ -34,16 +34,6 @@ def test_task_context_validation():
         TaskContext(4, 4)
     with pytest.raises(ValueError):
         TaskContext(0, 2, role="Q")
-
-
-def test_task_context_sibling_shares_inputs():
-    ctx = TaskContext(1, 4, role=ROLE_R)
-    ctx.inputs["k"] = 7
-    sibling = ctx.sibling(ROLE_A)
-    assert sibling.role == ROLE_A
-    assert sibling.task_id == 1
-    assert sibling.inputs is ctx.inputs
-    assert sibling.is_astream
 
 
 def test_mean_breakdowns_average_over_tasks():

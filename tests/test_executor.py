@@ -7,6 +7,7 @@ from repro.runtime import ops as op
 from repro.runtime.executor import TaskExecutor
 from repro.runtime.sync import SyncRegistry
 from repro.runtime.task import ROLE_NORMAL, TaskContext
+from repro.workloads import compile_program
 from tests.conftest import tiny_config
 from tests.test_protocol import local_line
 
@@ -17,11 +18,15 @@ def build(n_tasks=1, **cfg_kw):
     return system, registry
 
 
-def run_program(system, registry, program_ops, node=0, proc=0, task_id=0,
-                n_tasks=1):
+def executor_for(system, registry, program_ops, node=0, proc=0, task_id=0,
+                 n_tasks=1):
     ctx = TaskContext(task_id, n_tasks, role=ROLE_NORMAL)
-    executor = TaskExecutor(system.processor(node, proc), ctx,
-                            iter(program_ops), registry)
+    tape = compile_program(iter(program_ops), system.space.line_of)
+    return TaskExecutor(system.processor(node, proc), ctx, tape, registry)
+
+
+def run_program(system, registry, program_ops, **kwargs):
+    executor = executor_for(system, registry, program_ops, **kwargs)
     executor.start()
     system.engine.run()
     return executor
@@ -74,12 +79,9 @@ def test_l1_hit_loads_cost_one_busy_cycle():
 
 def test_barrier_time_charged_to_barrier_category():
     system, registry = build(n_tasks=2)
-    ctx0 = TaskContext(0, 2, role=ROLE_NORMAL)
-    ctx1 = TaskContext(1, 2, role=ROLE_NORMAL)
-    ex0 = TaskExecutor(system.processor(0, 0), ctx0,
-                       iter([op.Barrier("b")]), registry)
-    ex1 = TaskExecutor(system.processor(1, 0), ctx1,
-                       iter([op.Compute(5000), op.Barrier("b")]), registry)
+    ex0 = executor_for(system, registry, [op.Barrier("b")], n_tasks=2)
+    ex1 = executor_for(system, registry, [op.Compute(5000), op.Barrier("b")],
+                       node=1, task_id=1, n_tasks=2)
     ex0.start()
     ex1.start()
     system.engine.run()
@@ -114,12 +116,10 @@ def test_release_without_acquire_raises():
 
 def test_event_set_then_wait():
     system, registry = build(n_tasks=2)
-    ctx0 = TaskContext(0, 2, role=ROLE_NORMAL)
-    ctx1 = TaskContext(1, 2, role=ROLE_NORMAL)
-    ex0 = TaskExecutor(system.processor(0, 0), ctx0,
-                       iter([op.Compute(1000), op.EventSet("e")]), registry)
-    ex1 = TaskExecutor(system.processor(1, 0), ctx1,
-                       iter([op.EventWait("e")]), registry)
+    ex0 = executor_for(system, registry, [op.Compute(1000), op.EventSet("e")],
+                       n_tasks=2)
+    ex1 = executor_for(system, registry, [op.EventWait("e")],
+                       node=1, task_id=1, n_tasks=2)
     ex0.start()
     ex1.start()
     system.engine.run()
@@ -134,11 +134,11 @@ def test_event_clear_dispatch():
     assert not registry.event("e").flag
 
 
-def test_input_records_value_for_normal_task():
+def test_input_costs_its_cycles():
     system, registry = build()
     executor = run_program(system, registry, [op.Input("key", cycles=50)])
-    assert executor.ctx.inputs["key"] is True
-    assert executor.processor.breakdown.busy >= 50
+    assert executor.processor.breakdown.busy == 50
+    assert executor.processor.finish_time == 50
 
 
 def test_output_costs_busy_cycles():

@@ -3,7 +3,7 @@
 Covers every fault model (network jitter, request drops with retry/
 backoff/watchdog, A-R token loss, A-stream corruption, CPU stalls),
 the recovery path those faults exercise (deviation -> kill -> refork ->
-fast-forward), graceful degradation (demote after K reforks, later
+tape seek), graceful degradation (demote after K reforks, later
 re-promotion), and the determinism contract: a fixed ``(seed,
 fault_seed)`` reproduces the identical run bit for bit, a different
 fault seed produces a different fault schedule, and zero rates draw
@@ -110,7 +110,7 @@ def test_token_loss_starves_the_astream_safely():
 def test_corruption_forces_kill_and_refork():
     """A corrupted A-stream wanders off the R-stream's path; the lag
     check must detect the deviation and drive the real recovery path
-    (kill, refork at the R-stream's session, fast-forward resume)."""
+    (kill, refork at the R-stream's session from a tape seek)."""
     clean = run_mode(sor(), fault_cfg(), "slipstream")
     result = run_mode(sor(), fault_cfg(fault_astream_corrupt_rate=0.3,
                                        fault_seed=7), "slipstream")

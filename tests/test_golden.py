@@ -1,28 +1,65 @@
-"""Golden end-state regression: pinned cycle counts and cache totals.
+"""Golden corpus: frozen end-states of the simulator across its input space.
 
-One tiny instance of each of the paper's nine kernels, run in all three
-execution modes on a fixed 2-CMP configuration.  The simulator is fully
-deterministic, so any drift in these numbers means a *behavioural* change
-to the timing model, the coherence protocol, or a workload's op stream —
-which must be intentional and re-pinned, never accidental.
+``tests/golden_corpus.json`` stores, per case, ``exec_cycles``,
+``cache_totals`` and the SHA-256 of the run's ``deterministic_dict``
+(every ``RunResult`` field except wall time, hashed with sorted keys and
+compact separators exactly as the slipbench gate hashes it).  The
+simulator is deterministic, so any drift means a *behavioural* change to
+the timing model, the coherence protocol or a workload's op stream —
+which must be intentional and re-recorded, never accidental.
 
-The second half asserts the invariant sanitizer's timing neutrality:
-``check=True`` must reproduce the pinned numbers bit-for-bit.
+The axes (576 cases): the nine tiny kernels, a seeded fuzz program and
+the dynamic-scheduling kernel (divergent and with decision forwarding);
+eight execution rows; both registered protocols; and three variants —
+plain, under the invariant sanitizer, and under the ``chaos`` fault
+profile.  :data:`EXTRAS` adds the inputs of the differential tests those
+axes miss; the tests that drove them check them (tests/test_tape.py,
+tests/test_proto.py).
+
+The committed corpus was recorded while the simulator still had three
+implementations of the same machine, and the recorder refused to write
+unless all three agreed on every case they could run: tape replay with
+the table-driven protocol engine, generator execution with the table
+engine, and (under ``dir-inv``) tape replay with the hand-written home
+handlers.  The only difference allowed was the ``proto.transition{...}``
+metric series, which only the table engine emits.  616 cases, 1,560
+runs, and the legs agreed; the generator path and the hand-written
+handlers were then deleted, and the divergent DynSched entries, recorded
+on the generator path, now replay from per-role tapes.
+
+After an intentional behaviour change, re-record with
+``python -m tests.test_golden --record`` and say in the change why the
+entries moved.
 """
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable, Dict, NamedTuple
 
 import pytest
 
-from repro.config import scaled_config
+from repro.config import PROTOCOLS, scaled_config
 from repro.experiments.driver import run_mode
-from repro.workloads.cg import CG
+from repro.faults import FAULT_PROFILES
+from repro.serve.service import deterministic_dict
+from repro.slipstream.arsync import G0, G1, L0, L1
+from repro.workloads import CG, DynSched, Fuzz, SOR, make
 from repro.workloads.fft import FFT
 from repro.workloads.lu import LU
 from repro.workloads.mg import MG
 from repro.workloads.ocean import Ocean
-from repro.workloads.sor import SOR
 from repro.workloads.sp import SP
 from repro.workloads.water_nsq import WaterNSquared
 from repro.workloads.water_sp import WaterSpatial
+
+CORPUS_PATH = Path(__file__).with_name("golden_corpus.json")
 
 N_CMPS = 2
 
@@ -41,46 +78,174 @@ TINY = {
                                      timesteps=1),
 }
 
-#: (workload, mode) -> (exec_cycles, machine-wide cache totals)
-GOLDEN = {
-    ("cg", "single"): (53030, {"l1_hits": 937, "l1_misses": 726, "l2_hits": 200, "l2_misses": 299, "l2_evictions": 0}),
-    ("cg", "double"): (38678, {"l1_hits": 942, "l1_misses": 737, "l2_hits": 202, "l2_misses": 313, "l2_evictions": 0}),
-    ("cg", "slipstream"): (45344, {"l1_hits": 1839, "l1_misses": 1819, "l2_hits": 631, "l2_misses": 563, "l2_evictions": 0}),
-    ("fft", "single"): (49257, {"l1_hits": 256, "l1_misses": 256, "l2_hits": 224, "l2_misses": 288, "l2_evictions": 0}),
-    ("fft", "double"): (28785, {"l1_hits": 224, "l1_misses": 320, "l2_hits": 256, "l2_misses": 288, "l2_evictions": 0}),
-    ("fft", "slipstream"): (34776, {"l1_hits": 320, "l1_misses": 1137, "l2_hits": 686, "l2_misses": 387, "l2_evictions": 0}),
-    ("lu", "single"): (98107, {"l1_hits": 104, "l1_misses": 912, "l2_hits": 368, "l2_misses": 328, "l2_evictions": 0}),
-    ("lu", "double"): (77692, {"l1_hits": 112, "l1_misses": 958, "l2_hits": 360, "l2_misses": 390, "l2_evictions": 0}),
-    ("lu", "slipstream"): (84018, {"l1_hits": 161, "l1_misses": 2175, "l2_hits": 982, "l2_misses": 474, "l2_evictions": 0}),
-    ("mg", "single"): (183943, {"l1_hits": 112, "l1_misses": 3008, "l2_hits": 1856, "l2_misses": 1312, "l2_evictions": 0}),
-    ("mg", "double"): (161774, {"l1_hits": 160, "l1_misses": 3488, "l2_hits": 1632, "l2_misses": 1776, "l2_evictions": 0}),
-    ("mg", "slipstream"): (141146, {"l1_hits": 207, "l1_misses": 6689, "l2_hits": 3898, "l2_misses": 1430, "l2_evictions": 0}),
-    ("ocean", "single"): (96571, {"l1_hits": 1405, "l1_misses": 1022, "l2_hits": 763, "l2_misses": 472, "l2_evictions": 0}),
-    ("ocean", "double"): (71588, {"l1_hits": 1661, "l1_misses": 510, "l2_hits": 371, "l2_misses": 608, "l2_evictions": 0}),
-    ("ocean", "slipstream"): (80069, {"l1_hits": 2539, "l1_misses": 2712, "l2_hits": 1606, "l2_misses": 537, "l2_evictions": 0}),
-    ("sor", "single"): (18819, {"l1_hits": 208, "l1_misses": 112, "l2_hits": 40, "l2_misses": 104, "l2_evictions": 0}),
-    ("sor", "double"): (14330, {"l1_hits": 192, "l1_misses": 144, "l2_hits": 32, "l2_misses": 128, "l2_evictions": 0}),
-    ("sor", "slipstream"): (14756, {"l1_hits": 366, "l1_misses": 402, "l2_hits": 177, "l2_misses": 151, "l2_evictions": 0}),
-    ("sp", "single"): (88915, {"l1_hits": 816, "l1_misses": 288, "l2_hits": 504, "l2_misses": 280, "l2_evictions": 0}),
-    ("sp", "double"): (79632, {"l1_hits": 856, "l1_misses": 464, "l2_hits": 416, "l2_misses": 456, "l2_evictions": 0}),
-    ("sp", "slipstream"): (71676, {"l1_hits": 1178, "l1_misses": 1670, "l2_hits": 1208, "l2_misses": 360, "l2_evictions": 0}),
-    ("water-ns", "single"): (145801, {"l1_hits": 11, "l1_misses": 1066, "l2_hits": 133, "l2_misses": 656, "l2_evictions": 0}),
-    ("water-ns", "double"): (83546, {"l1_hits": 7, "l1_misses": 1716, "l2_hits": 517, "l2_misses": 662, "l2_evictions": 0}),
-    ("water-ns", "slipstream"): (136798, {"l1_hits": 11, "l1_misses": 2725, "l2_hits": 828, "l2_misses": 1076, "l2_evictions": 0}),
-    ("water-sp", "single"): (67828, {"l1_hits": 236, "l1_misses": 280, "l2_hits": 60, "l2_misses": 272, "l2_evictions": 0}),
-    ("water-sp", "double"): (39502, {"l1_hits": 224, "l1_misses": 304, "l2_hits": 40, "l2_misses": 304, "l2_evictions": 0}),
-    ("water-sp", "slipstream"): (55023, {"l1_hits": 348, "l1_misses": 914, "l2_hits": 446, "l2_misses": 256, "l2_evictions": 0}),
+WORKLOADS = dict(TINY, **{
+    "fuzz": lambda: Fuzz(seed=2003, sessions=3, ops_per_session=32),
+    # the A-stream takes a different path and is killed and reforked
+    "dynsched": lambda: DynSched(chunks=8, chunk_lines=4),
+    "dynsched-fwd": lambda: DynSched(chunks=8, chunk_lines=4,
+                                     forward_decisions=True),
+})
+
+#: row -> (mode, run_mode keyword arguments)
+ROWS = {
+    "single": ("single", {}),
+    "double": ("double", {}),
+    "slip-L1": ("slipstream", {"policy": L1}),
+    "slip-L0": ("slipstream", {"policy": L0}),
+    "slip-G1": ("slipstream", {"policy": G1}),
+    "slip-G0": ("slipstream", {"policy": G0}),
+    "slip-tsm": ("slipstream", {"transparent": True, "si": True,
+                                "migratory": True, "metrics": True}),
+    "slip-fsa": ("slipstream", {"forwarding": True,
+                                "speculative_barriers": True,
+                                "adaptive": True}),
+}
+
+#: variant -> MachineConfig overrides
+VARIANTS = {
+    "plain": {},
+    "check": {"check": True},
+    "chaos": dict(FAULT_PROFILES["chaos"], faults=True, fault_seed=1,
+                  check=True),
 }
 
 
-@pytest.mark.parametrize("name,mode", sorted(GOLDEN))
+class Case(NamedTuple):
+    workload: Callable
+    mode: str
+    run_kwargs: Dict[str, object]
+    overrides: Dict[str, object]
+    n_cmps: int = N_CMPS
+    slow: bool = False
+
+
+CASES: Dict[str, Case] = {
+    f"{name}/{row}/{protocol}/{variant}": Case(
+        factory, ROWS[row][0], ROWS[row][1],
+        dict(VARIANTS[variant], protocol=protocol))
+    for name, factory in WORKLOADS.items()
+    for row in ROWS
+    for protocol in PROTOCOLS
+    for variant in VARIANTS
+}
+
+#: the former 27 golden pins: (kernel, mode) -> its corpus case
+GOLDEN = {(name, mode): f"{name}/{'slip-G1' if mode == 'slipstream' else mode}"
+                        f"/dir-inv/plain"
+          for name in TINY for mode in ("single", "double", "slipstream")}
+
+
+def _fuzz(seed):
+    return lambda: Fuzz(seed=seed, sessions=3, ops_per_session=32)
+
+
+#: inputs of the former differential tests that the axes miss
+EXTRAS: Dict[str, Case] = {
+    **{f"fuzz-{seed}/{mode}/dir-inv/plain": Case(_fuzz(seed), mode, {}, {})
+       for seed in (1, 7, 42, 31415)
+       for mode in ("single", "double", "slipstream")},
+    # the standing micro: default-size ocean on 4 CMPs, slipstream, G1
+    "ocean-default@4/slip-G1/dir-inv/plain": Case(
+        lambda: make("ocean"), "slipstream", {}, {}, n_cmps=4),
+    "cg-nnz8/slip-G1/dir-inv/plain": Case(
+        lambda: CG(n=128, iterations=2), "slipstream", {}, {}),
+    "sor/slip-si/dir-inv/plain": Case(
+        TINY["sor"], "slipstream", {"si": True}, {}),
+    "sor/slip-G1/dir-inv/check+metrics": Case(
+        TINY["sor"], "slipstream", {"check": True, "metrics": True}, {}),
+    "fft/slip-tsm-nometrics/dir-inv/plain": Case(
+        TINY["fft"], "slipstream",
+        {"transparent": True, "si": True, "migratory": True}, {}),
+    "sor-i3/slip-G1/dir-inv/astream-corrupt": Case(
+        lambda: SOR(rows=24, cols=16, iterations=3), "slipstream", {},
+        dict(faults=True, fault_seed=1, check=True,
+             fault_astream_corrupt_rate=0.3)),
+    "sor/slip-G1/dir-inv/mixed-faults": Case(
+        TINY["sor"], "slipstream", {},
+        dict(faults=True, fault_seed=3, check=True,
+             fault_net_jitter_rate=0.2, fault_net_jitter_max=40,
+             fault_token_loss_rate=0.1, fault_astream_corrupt_rate=0.05,
+             fault_cpu_stall_rate=0.005, fault_cpu_stall_cycles=200)),
+    # default-size kernels: the nightly (slow) sweep
+    **{f"{name}-default/{mode}/dir-inv/plain": Case(
+        (lambda name=name: make(name)), mode, {}, {}, slow=True)
+       for name in ("fft", "lu", "mg", "ocean", "sp", "water-ns", "water-sp")
+       for mode in ("single", "double", "slipstream")},
+}
+
+ALL_CASES: Dict[str, Case] = {**CASES, **EXTRAS}
+
+#: RunResult counters the recorder totals, to show the corpus reaches them
+EXERCISED = ("recoveries", "astream_corruptions", "policy_switches",
+             "forwarded_prefetches", "transparent_replies")
+
+
+def run_case(case: Case):
+    config = scaled_config(case.n_cmps, **case.overrides)
+    return run_mode(case.workload(), config, case.mode, **case.run_kwargs)
+
+
+def digest(data: Dict[str, object]) -> str:
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def entry_of(result) -> Dict[str, object]:
+    return {"exec_cycles": result.exec_cycles,
+            "cache_totals": result.cache_totals,
+            "sha256": digest(deterministic_dict(result))}
+
+
+def write_corpus(entries: Dict[str, Dict[str, object]]) -> None:
+    """One case per line, sorted, so a re-record diffs case by case."""
+    lines = [f"{json.dumps(case_id)}: {json.dumps(entry, sort_keys=True)}"
+             for case_id, entry in sorted(entries.items())]
+    CORPUS_PATH.write_text('{"cases": {\n' + ",\n".join(lines) + "\n}}\n")
+
+
+@lru_cache(maxsize=1)
+def corpus() -> Dict[str, Dict[str, object]]:
+    return json.loads(CORPUS_PATH.read_text())["cases"]
+
+
+def check(case_id: str):
+    """Run one corpus case and assert it reproduces its frozen entry;
+    returns the RunResult for further asserts."""
+    expected = corpus()[case_id]
+    result = run_case(ALL_CASES[case_id])
+    got = entry_of(result)
+    assert got["exec_cycles"] == expected["exec_cycles"], \
+        f"{case_id}: exec_cycles drifted {expected['exec_cycles']} -> " \
+        f"{got['exec_cycles']}"
+    assert got["cache_totals"] == expected["cache_totals"], \
+        f"{case_id}: cache totals drifted"
+    assert got["sha256"] == expected["sha256"], \
+        f"{case_id}: a deterministic RunResult field drifted"
+    return result
+
+
+# ----------------------------------------------------------------------
+# Tests
+# ----------------------------------------------------------------------
+def test_corpus_covers_exactly_the_cases():
+    assert set(corpus()) == set(ALL_CASES)
+    assert len(CASES) == 576
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN),
+                         ids=[f"{n}-{m}" for n, m in sorted(GOLDEN)])
 def test_golden_end_state(name, mode):
-    result = run_mode(TINY[name](), scaled_config(N_CMPS), mode)
-    cycles, totals = GOLDEN[(name, mode)]
-    assert result.exec_cycles == cycles, \
-        f"{name}/{mode}: exec_cycles drifted {cycles} -> {result.exec_cycles}"
-    assert result.cache_totals == totals, \
-        f"{name}/{mode}: cache totals drifted"
+    """The 27 end-states pinned before the corpus existed."""
+    check(GOLDEN[(name, mode)])
+
+
+@pytest.mark.parametrize("case_id", sorted(set(CASES) - set(GOLDEN.values())))
+def test_corpus_entry(case_id):
+    check(case_id)
+
+
+def _sor_numbers(mode):
+    return corpus()[GOLDEN[("sor", mode)]]
 
 
 @pytest.mark.parametrize("mode", ["single", "double", "slipstream"])
@@ -88,9 +253,9 @@ def test_checkers_do_not_change_golden_numbers(mode):
     """The sanitizer observes; it must never perturb simulated timing."""
     config = scaled_config(N_CMPS, check=True)
     result = run_mode(TINY["sor"](), config, mode)
-    cycles, totals = GOLDEN[("sor", mode)]
-    assert result.exec_cycles == cycles
-    assert result.cache_totals == totals
+    expected = _sor_numbers(mode)
+    assert result.exec_cycles == expected["exec_cycles"]
+    assert result.cache_totals == expected["cache_totals"]
     assert result.check_stats and sum(result.check_stats.values()) > 0
 
 
@@ -98,11 +263,44 @@ def test_checkers_do_not_change_golden_numbers(mode):
 def test_fault_hooks_at_zero_rates_do_not_change_golden_numbers(mode):
     """Installing the fault injector with every rate at zero must be
     timing-neutral: the hooks short-circuit before any RNG draw, so the
-    pinned numbers reproduce bit for bit."""
+    recorded numbers reproduce bit for bit."""
     config = scaled_config(N_CMPS, faults=True)
     result = run_mode(TINY["sor"](), config, mode)
-    cycles, totals = GOLDEN[("sor", mode)]
-    assert result.exec_cycles == cycles
-    assert result.cache_totals == totals
+    expected = _sor_numbers(mode)
+    assert result.exec_cycles == expected["exec_cycles"]
+    assert result.cache_totals == expected["cache_totals"]
     assert result.fault_stats is not None
     assert result.fault_stats["events"] == 0
+
+
+# ----------------------------------------------------------------------
+# Recorder: python -m tests.test_golden --record
+# ----------------------------------------------------------------------
+def record(out=sys.stdout) -> None:
+    """Run every case and rewrite the corpus."""
+    entries: Dict[str, Dict[str, object]] = {}
+    exercised = dict.fromkeys(EXERCISED, 0)
+    start = time.monotonic()
+    for case_id, case in ALL_CASES.items():
+        result = run_case(case)
+        entry = entry_of(result)
+        if case.slow:
+            entry["slow"] = True
+        entries[case_id] = entry
+        for name in EXERCISED:
+            exercised[name] += getattr(result, name)
+    write_corpus(entries)
+    print(f"wrote {len(entries)} cases to {CORPUS_PATH} in "
+          f"{time.monotonic() - start:.0f} s; exercised: "
+          + ", ".join(f"{name} {count}" for name, count in exercised.items()),
+          file=out)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--record", action="store_true",
+                        help="re-run every case and rewrite the corpus")
+    if parser.parse_args().record:
+        record()
+    else:
+        parser.print_help()

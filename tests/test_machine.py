@@ -4,7 +4,15 @@ import pytest
 
 from repro.machine.node import CmpNode
 from repro.machine.system import System
+from repro.runtime import ops as op
+from repro.runtime.executor import TaskExecutor
+from repro.runtime.sync import SyncRegistry
+from repro.runtime.task import ROLE_A, TaskContext
 from repro.sim import Process, Timeout
+from repro.slipstream.arsync import G1
+from repro.slipstream.astream import AStreamExecutor
+from repro.slipstream.pair import SlipstreamPair
+from repro.workloads import compile_program
 from tests.conftest import tiny_config
 from tests.test_protocol import local_line
 
@@ -126,30 +134,34 @@ def test_timed_waitable_charges_category():
 
 
 def test_exclusive_prefetch_costs_one_busy_cycle():
+    """An A-stream store in its R-stream's session is converted to an
+    exclusive prefetch: one busy cycle, never a stall."""
     system = System(tiny_config())
-    processor = system.processor(0, 1)
-    line = local_line(system, 0)
-
-    def run():
-        yield from processor.do_exclusive_prefetch(line << system.space.line_shift)
-
-    Process(system.engine, run())
+    addr = local_line(system, 0) << system.space.line_shift
+    pair = SlipstreamPair(system.engine, system.config, 0, G1)
+    pair.tape = compile_program(iter([op.Store(addr)]), system.space.line_of)
+    a_exec = AStreamExecutor(system.processor(0, 1),
+                             TaskContext(0, 1, role=ROLE_A), pair.tape,
+                             SyncRegistry(system.engine, system.config, 1),
+                             pair)
+    a_exec.start()
     system.engine.run()
+    processor = a_exec.processor
+    assert a_exec.stores_converted == 1
     assert processor.breakdown.busy == 1
     assert processor.breakdown.stall == 0  # never blocked
 
 
 def test_op_counters():
     system = System(tiny_config())
-    processor = system.processor(0, 0)
     addr = local_line(system, 0) << system.space.line_shift
-
-    def run():
-        yield from processor.do_load("R", addr)
-        yield from processor.do_store("R", addr)
-
-    Process(system.engine, run())
+    tape = compile_program(iter([op.Load(addr), op.Store(addr)]),
+                           system.space.line_of)
+    executor = TaskExecutor(system.processor(0, 0), TaskContext(0, 1), tape,
+                            SyncRegistry(system.engine, system.config, 1))
+    executor.start()
     system.engine.run()
+    processor = executor.processor
     assert processor.loads == 1
     assert processor.stores == 1
     assert processor.ops == 2

@@ -2,9 +2,10 @@
 
 Four concerns:
 
-* **differential identity** — the interpreter running the ``dir-inv``
-  table must be bit-identical to the former hand-written generators
-  (``proto_engine=False``), including the paper's 170/290-cycle pins;
+* **identity** — the interpreter running the ``dir-inv`` table hits the
+  paper's 170/290-cycle pins and reproduces the golden corpus, recorded
+  while the former hand-written home handlers still ran beside it and
+  agreed (tests/test_golden.py);
 * **lint** — the static pass is clean on every registered table and
   catches each class of seeded corruption;
 * **dls semantics** — the directoryless variant never invalidates, never
@@ -31,10 +32,9 @@ from repro.memory.proto.dls import TABLE as DLS
 from repro.memory.proto.lint import lint_all, lint_table
 from repro.memory.proto.table import Capabilities, Event
 from repro.sim import Process
-from repro.workloads import make
-from repro.workloads.fft import FFT
 from repro.workloads.sor import SOR
 from tests.conftest import tiny_config
+from tests.test_golden import check
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -92,10 +92,17 @@ def test_config_rejects_unknown_protocol():
 
 
 def test_config_rejects_legacy_engine_for_non_baseline():
-    """The hand-written generators only implement dir-inv; asking them
-    to run dls must fail loudly, not silently run the wrong protocol."""
+    """The hand-written home handlers are gone: asking for them (under
+    any protocol) must fail loudly, and a served spec that asks gets a
+    400, not a silently different machine."""
+    from repro.serve.service import spec_from_dict
+    for protocol in PROTOCOLS:
+        with pytest.raises(TypeError, match="proto_engine"):
+            MachineConfig(protocol=protocol, proto_engine=False)
     with pytest.raises(ValueError, match="proto_engine"):
-        MachineConfig(protocol="dls", proto_engine=False)
+        spec_from_dict({"workload": "sor", "mode": "single", "n_cmps": 2,
+                        "config_overrides": {"protocol": "dls",
+                                             "proto_engine": False}})
 
 
 # ----------------------------------------------------------------------
@@ -119,42 +126,29 @@ def test_remote_clean_miss_is_290_cycles(protocol):
     assert result.state == L_SHARED
 
 
-def test_legacy_engine_matches_pins_too():
-    system = System(tiny_config(n_cmps=4, proto_engine=False))
-    line = local_line(system, node=2)
-    _, elapsed = run_fetch(system, 0, line, "read")
-    assert elapsed == 290
-
-
 # ----------------------------------------------------------------------
-# Differential identity: table engine vs hand-written generators
+# Frozen identity: the table engine against the former home handlers
 # ----------------------------------------------------------------------
 TINY_SOR = lambda: SOR(rows=24, cols=16, iterations=2)
-TINY_FFT = lambda: FFT(n1=16)
 
 
 #: the last input is the standing micro: ocean on 4 CMPs, slipstream, G1
-@pytest.mark.parametrize("mode,workload,n", [
-    ("single", TINY_SOR, 2), ("double", TINY_SOR, 2),
-    ("slipstream", TINY_SOR, 2), ("slipstream", lambda: make("ocean"), 4)],
+@pytest.mark.parametrize("case_id", [
+    "sor/single/dir-inv/plain", "sor/double/dir-inv/plain",
+    "sor/slip-G1/dir-inv/plain", "ocean-default@4/slip-G1/dir-inv/plain"],
     ids=["single", "double", "slipstream", "micro-ocean@4"])
-def test_table_engine_bit_identical_to_generators(mode, workload, n):
-    """Same workload, same config, engine on vs off: every serialized
-    field must agree — cycles, breakdowns, fabric counters, the lot."""
-    on = run_mode(workload(), scaled_config(n, proto_engine=True), mode)
-    off = run_mode(workload(), scaled_config(n, proto_engine=False), mode)
-    assert on.to_dict() == off.to_dict()
+def test_table_engine_bit_identical_to_generators(case_id):
+    """Every deterministic field reproduces the corpus entry recorded
+    while the hand-written handlers ran beside the table and agreed."""
+    check(case_id)
 
 
 def test_table_engine_identity_with_extensions():
-    """Transparent loads + SI hints + migratory exercise every dir-inv
-    row class; the table must still be bit-identical."""
-    kw = dict(transparent=True, si=True, migratory=True)
-    on = run_mode(TINY_FFT(), scaled_config(2, proto_engine=True),
-                  "slipstream", **kw)
-    off = run_mode(TINY_FFT(), scaled_config(2, proto_engine=False),
-                   "slipstream", **kw)
-    assert on.to_dict() == off.to_dict()
+    """Transparent loads + SI hints + migratory: the table reproduces
+    the end-state the hand-written handlers agreed on."""
+    result = check("fft/slip-tsm-nometrics/dir-inv/plain")
+    assert result.transparent_replies > 0
+    assert result.fabric_stats["si_hints_sent"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -64,9 +64,9 @@ def test_deviation_check_disabled_by_large_lag():
 
 def test_recovery_resyncs_input_forwarding():
     """A reforked A-stream must continue the Input sequence where the
-    fast-forward left it, not restart at zero."""
-    from repro.slipstream.pair import fast_forward
+    session seek left it, not restart at zero."""
     from repro.runtime import ops as op
+    from repro.workloads import compile_program
 
     def program():
         yield op.Input("a")
@@ -75,10 +75,11 @@ def test_recovery_resyncs_input_forwarding():
         yield op.Barrier("b")
         yield op.Input("c")
 
-    counters = {}
-    remaining = list(fast_forward(program(), 2, counters))
-    assert counters["inputs"] == 2
-    assert isinstance(remaining[0], op.Input)
+    tape = compile_program(program(), lambda addr: addr)
+    step, inputs = tape.seek_session(2)
+    assert inputs == 2
+    code, arg = tape.steps[step]
+    assert isinstance(tape.objs[arg], op.Input)
 
 
 def test_recovery_preserves_prerecovery_statistics():

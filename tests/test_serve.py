@@ -429,6 +429,10 @@ def test_http_error_paths():
         assert status == 404
         status, _, body = client._request("POST", "/runs", {"workload": "x"})
         assert status == 400 and "unknown workload" in json.dumps(body)
+        # an out-of-range machine is refused at admission, not a 500
+        status, _, body = client._request(
+            "POST", "/runs", dict(SMALL, config_overrides={"line_size": 0}))
+        assert status == 400 and "line_size" in json.dumps(body)
         status, _, _ = client._request("POST", "/healthz")
         assert status == 405
         conn_status, _, body = client._request("POST", "/batch",

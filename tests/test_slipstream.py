@@ -7,13 +7,14 @@ from repro.experiments.driver import run_mode
 from repro.machine.system import System
 from repro.memory.cache import MODIFIED
 from repro.runtime import ops as op
+from repro.runtime.ops import OP_COMPUTE, OP_GENERIC
 from repro.runtime.sync import SyncRegistry
 from repro.runtime.task import ROLE_A, ROLE_R, TaskContext
 from repro.slipstream.arsync import G0, G1, L0, L1, ARSyncPolicy
 from repro.slipstream.astream import AStreamExecutor
-from repro.slipstream.pair import SlipstreamPair, fast_forward
+from repro.slipstream.pair import SlipstreamPair
 from repro.slipstream.rstream import RStreamExecutor
-from repro.workloads import make
+from repro.workloads import compile_program, make
 from tests.conftest import tiny_config
 from tests.test_protocol import local_line
 
@@ -22,15 +23,17 @@ def build_pair(system, policy=G1, r_ops=(), a_ops=(), tl=False, si=False,
                n_tasks=1):
     registry = SyncRegistry(system.engine, system.config, n_tasks)
     pair = SlipstreamPair(system.engine, system.config, 0, policy,
-                          tl_enabled=tl or si, si_enabled=si,
-                          make_program=lambda: iter(()))
+                          tl_enabled=tl or si, si_enabled=si)
+    pair.tape = compile_program(iter(a_ops), system.space.line_of)
     node = system.nodes[0]
     r_exec = RStreamExecutor(node.processor(0),
                              TaskContext(0, n_tasks, role=ROLE_R),
-                             iter(r_ops), registry, pair)
+                             compile_program(iter(r_ops),
+                                             system.space.line_of),
+                             registry, pair)
     a_exec = AStreamExecutor(node.processor(1),
                              TaskContext(0, n_tasks, role=ROLE_A),
-                             iter(a_ops), registry, pair)
+                             pair.tape, registry, pair)
     pair.a_executor = a_exec
     return pair, r_exec, a_exec, registry
 
@@ -170,8 +173,8 @@ def test_astream_input_waits_for_forwarded_value():
     r_exec.start()
     a_exec.start()
     system.engine.run()
-    assert a_exec.ctx.inputs["k"] == "k"
     assert a_exec.processor.breakdown.arsync >= 5000
+    assert a_exec.processor.breakdown.busy == 1
 
 
 # ----------------------------------------------------------------------
@@ -232,25 +235,28 @@ def test_rstream_kicks_si_drain_at_unlock():
     assert ctrl.si_invalidated == 1
 
 
-def test_fast_forward_skips_sessions():
+def test_seek_session_skips_sessions():
     def program():
-        for i in range(5):
+        for i in range(1, 6):
             yield op.Compute(i)
             yield op.Barrier("b")
         yield op.Compute(99)
 
-    remaining = list(fast_forward(program(), 3))
-    kinds = [type(o).__name__ for o in remaining]
-    assert kinds.count("Barrier") == 2
-    assert isinstance(remaining[0], op.Compute)
-    assert remaining[0].cycles == 3
+    tape = compile_program(program(), lambda addr: addr)
+    step, inputs = tape.seek_session(3)
+    remaining = tape.steps[step:]
+    kinds = [tape.objs[arg] for code, arg in remaining if code == OP_GENERIC]
+    assert len(kinds) == 2 and all(isinstance(o, op.Barrier) for o in kinds)
+    assert remaining[0] == (OP_COMPUTE, 4)
+    assert inputs == 0
 
 
-def test_fast_forward_past_end_is_safe():
+def test_seek_session_past_end_is_safe():
     def program():
         yield op.Barrier("b")
 
-    assert list(fast_forward(program(), 10)) == []
+    tape = compile_program(program(), lambda addr: addr)
+    assert tape.seek_session(10) == (len(tape.steps), 0)
 
 
 # ----------------------------------------------------------------------

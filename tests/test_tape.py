@@ -1,36 +1,27 @@
-"""Differential tests: the op-tape replay path vs the generator oracle.
+"""The op-tape: compiler, session seeks, per-role tapes, frozen evidence.
 
-The tape path (``MachineConfig.compile_tape=True``, the default) must be
-*bit-identical* to the generator path — same cycle counts, same time
-breakdowns, same cache and fabric statistics, same checker/fault hook
-behavior — across workloads, execution modes, token policies, and
-recovery reforks.  The generator path is retained exactly so these tests
-have an oracle.
+Every run replays compiled tapes.  The generator path these tests once
+compared against live is gone; its evidence is the golden corpus
+(tests/test_golden.py), recorded while both paths existed and agreed.
+The differential tests below keep their inputs as corpus entries and
+check them against it, together with their own asserts.
 
 Also covers the tape compiler itself (compute coalescing, address
-pre-translation, session boundaries vs :func:`fast_forward`) and the
-``traceable`` gate for role-divergent workloads.
+pre-translation, session boundaries against a reference
+:func:`fast_forward`) and the per-role tapes of role-dependent workloads.
 """
+
+from typing import Iterator, Optional
 
 import pytest
 
-from repro.config import scaled_config
-from repro.experiments.driver import run_mode
 from repro.memory.address import AddressSpace, SharedAllocator
 from repro.runtime import ops as op
 from repro.runtime.ops import OP_COMPUTE, OP_GENERIC, OP_LOAD, OP_STORE
 from repro.runtime.task import TaskContext
 from repro.slipstream.arsync import POLICIES
-from repro.slipstream.pair import fast_forward
-from repro.workloads import CG, DynSched, Fuzz, SOR, compile_program, make
-
-
-def sor(iterations=2):
-    return SOR(rows=24, cols=16, iterations=iterations)
-
-
-def cfg(compile_tape, n=2, **kw):
-    return scaled_config(n, compile_tape=compile_tape, **kw)
+from repro.workloads import DynSched, Fuzz, TapeCache, compile_program
+from tests.test_golden import check
 
 
 def allocated(workload, n_tasks=2):
@@ -41,32 +32,26 @@ def allocated(workload, n_tasks=2):
     return workload, space
 
 
-#: every deterministic (non-wall-clock) field of RunResult the two paths
-#: must agree on
-IDENTICAL_FIELDS = (
-    "exec_cycles", "cache_totals", "fabric_stats", "task_breakdowns",
-    "astream_breakdowns", "request_classes", "read_breakdown",
-    "excl_breakdown", "a_read_requests", "transparent_replies",
-    "upgraded_transparent", "si_invalidated", "si_downgraded",
-    "recoveries", "stores_converted", "stores_skipped",
-    "transparent_loads_issued", "tokens_lost", "astream_corruptions",
-    "check_stats", "fault_stats",
-)
-
-
-def assert_identical(tape_result, oracle_result):
-    for name in IDENTICAL_FIELDS:
-        assert getattr(tape_result, name) == getattr(oracle_result, name), (
-            f"tape replay diverged from the generator oracle on {name}: "
-            f"{getattr(tape_result, name)!r} != "
-            f"{getattr(oracle_result, name)!r}")
-
-
-def differential(workload_factory, mode, n=2, **run_kwargs):
-    on = run_mode(workload_factory(), cfg(True, n), mode, **run_kwargs)
-    off = run_mode(workload_factory(), cfg(False, n), mode, **run_kwargs)
-    assert_identical(on, off)
-    return on
+def fast_forward(program: Iterator, sessions: int,
+                 counters: Optional[dict] = None) -> Iterator:
+    """Reference for :meth:`OpTape.seek_session`: consume ops until
+    ``sessions`` session boundaries have passed and return the program
+    positioned just after; ``counters["inputs"]`` receives the number of
+    skipped ``Input`` ops."""
+    skipped = 0
+    inputs = 0
+    while skipped < sessions:
+        try:
+            operation = next(program)
+        except StopIteration:
+            break
+        if isinstance(operation, (op.Barrier, op.EventWait)):
+            skipped += 1
+        elif isinstance(operation, op.Input):
+            inputs += 1
+    if counters is not None:
+        counters["inputs"] = inputs
+    return program
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +69,6 @@ def test_compile_coalesces_adjacent_compute_bursts():
 
     space = AddressSpace(2, line_size=64)
     tape = compile_program(program(), space.line_of)
-    assert tape.n_raw == 7
     assert tape.steps == [(OP_COMPUTE, 7), (OP_LOAD, 2), (OP_STORE, 4),
                           (OP_COMPUTE, 5)]
 
@@ -102,8 +86,8 @@ def test_compile_pretranslates_addresses_and_keeps_generic_ops():
 
 
 def test_seek_session_matches_fast_forward():
-    """Tape session boundaries must agree with the generator-path
-    fast-forward on both the resume position and the skipped Inputs."""
+    """Tape session boundaries must agree with a fast-forward over the
+    program on both the resume position and the skipped Inputs."""
     workload, space = allocated(Fuzz(seed=11, sessions=4,
                                      ops_per_session=40))
     tape = compile_program(workload.program(TaskContext(0, 2)),
@@ -122,30 +106,20 @@ def test_seek_session_matches_fast_forward():
         assert inputs == counters.get("inputs", 0)
 
 
-def test_fingerprint_is_stable_and_content_sensitive():
-    def tape_for(seed):
-        workload, space = allocated(Fuzz(seed=seed, sessions=2))
-        return compile_program(workload.program(TaskContext(0, 2)),
-                               space.line_of)
-
-    assert tape_for(5).fingerprint() == tape_for(5).fingerprint()
-    assert tape_for(5).fingerprint() != tape_for(6).fingerprint()
-
-
 # ----------------------------------------------------------------------
-# Differential: workloads x modes
+# Frozen differential: workloads x modes
 # ----------------------------------------------------------------------
 #: the last input is the standing micro: ocean on 4 CMPs, slipstream, G1
-@pytest.mark.parametrize("mode,workload,n", [
-    ("single", sor, 2), ("double", sor, 2), ("slipstream", sor, 2),
-    ("slipstream", lambda: make("ocean"), 4)],
+@pytest.mark.parametrize("case_id", [
+    "sor/single/dir-inv/plain", "sor/double/dir-inv/plain",
+    "sor/slip-G1/dir-inv/plain", "ocean-default@4/slip-G1/dir-inv/plain"],
     ids=["single", "double", "slipstream", "micro-ocean@4"])
-def test_tape_matches_oracle_across_modes(mode, workload, n):
-    differential(workload, mode, n)
+def test_tape_matches_oracle_across_modes(case_id):
+    check(case_id)
 
 
 def test_tape_matches_oracle_small_cg():
-    differential(lambda: CG(n=128, iterations=2), "slipstream")
+    check("cg-nnz8/slip-G1/dir-inv/plain")
 
 
 @pytest.mark.slow
@@ -153,93 +127,81 @@ def test_tape_matches_oracle_small_cg():
                                   "water-ns", "water-sp"])
 @pytest.mark.parametrize("mode", ["single", "double", "slipstream"])
 def test_tape_matches_oracle_full_sweep(name, mode):
-    differential(lambda: make(name), mode)
+    check(f"{name}-default/{mode}/dir-inv/plain")
 
 
 # ----------------------------------------------------------------------
-# Differential: token policies, extensions, observers
+# Frozen differential: token policies, extensions, observers
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
 def test_tape_matches_oracle_across_token_policies(policy):
-    differential(sor, "slipstream", policy=policy)
+    check(f"sor/slip-{policy.name}/dir-inv/plain")
 
 
 def test_tape_matches_oracle_with_transparent_and_si():
-    result = differential(sor, "slipstream", si=True)
+    result = check("sor/slip-si/dir-inv/plain")
     assert result.transparent_loads_issued > 0
 
 
 def test_tape_matches_oracle_under_checkers_and_metrics():
-    """--check and --metrics runs work on the tape path, with identical
-    checker fire counts and identical metric values to the oracle."""
-    on = run_mode(sor(), cfg(True), "slipstream", check=True, metrics=True)
-    off = run_mode(sor(), cfg(False), "slipstream", check=True, metrics=True)
-    assert_identical(on, off)
-    assert on.check_stats is not None
-    assert on.metrics == off.metrics
+    """--check and --metrics runs reproduce their frozen checker fire
+    counts and metric values (both are in the hashed fields)."""
+    result = check("sor/slip-G1/dir-inv/check+metrics")
+    assert result.check_stats is not None
+    assert result.metrics
 
 
-# ----------------------------------------------------------------------
-# Differential: property-based (hypothesis, fixed seeds)
-# ----------------------------------------------------------------------
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-
-@given(seed=st.sampled_from([1, 7, 42, 2003, 31415]),
-       mode=st.sampled_from(["single", "double", "slipstream"]))
-@settings(max_examples=8, deadline=None)
-def test_tape_matches_oracle_on_fuzz_workloads(seed, mode):
+def test_tape_matches_oracle_on_fuzz_workloads():
     """Seeded fuzz programs (loads/stores/locks/inputs in random
-    proportions) replay identically on both paths in every mode."""
-    differential(lambda: Fuzz(seed=seed, sessions=3, ops_per_session=32),
-                 mode)
+    proportions) reproduce their frozen end-states in every mode."""
+    for seed in (1, 7, 42, 31415):
+        for mode in ("single", "double", "slipstream"):
+            check(f"fuzz-{seed}/{mode}/dir-inv/plain")
 
 
 # ----------------------------------------------------------------------
-# Differential: recovery reforks under injected faults
+# Frozen differential: recovery reforks under injected faults
 # ----------------------------------------------------------------------
 def test_tape_refork_matches_oracle_under_astream_corruption():
-    """A/R tape sharing must not change refork behavior: a corrupted
-    A-stream is killed and reforked from the shared tape at the
-    R-stream's session, exactly as the generator path re-walks the
-    program through fast_forward."""
-    kwargs = dict(faults=True, fault_seed=1, check=True,
-                  fault_astream_corrupt_rate=0.3)
-    on = run_mode(sor(iterations=3), cfg(True, **kwargs), "slipstream")
-    off = run_mode(sor(iterations=3), cfg(False, **kwargs), "slipstream")
-    assert_identical(on, off)
-    assert on.recoveries >= 1
-    assert on.astream_corruptions >= 1
+    """A corrupted A-stream is killed and reforked from the tape at the
+    R-stream's session, reproducing the frozen end-state."""
+    result = check("sor-i3/slip-G1/dir-inv/astream-corrupt")
+    assert result.recoveries >= 1
+    assert result.astream_corruptions >= 1
 
 
 def test_tape_matches_oracle_under_chaos_faults():
-    kwargs = dict(faults=True, fault_seed=3, check=True,
-                  fault_net_jitter_rate=0.2, fault_net_jitter_max=40,
-                  fault_token_loss_rate=0.1,
-                  fault_astream_corrupt_rate=0.05,
-                  fault_cpu_stall_rate=0.005, fault_cpu_stall_cycles=200)
-    on = run_mode(sor(), cfg(True, **kwargs), "slipstream")
-    off = run_mode(sor(), cfg(False, **kwargs), "slipstream")
-    assert_identical(on, off)
+    check("sor/slip-G1/dir-inv/mixed-faults")
 
 
 # ----------------------------------------------------------------------
-# The traceable gate
+# Per-role tapes
 # ----------------------------------------------------------------------
-def test_divergent_dynsched_keeps_the_generator_path():
+def tape_cache(workload, n_tasks=2):
+    workload, space = allocated(workload, n_tasks)
+    return TapeCache(workload, n_tasks, space.line_of)
+
+
+def test_divergent_dynsched_gets_per_role_tapes():
     """DynSched in divergent mode emits different ops for the A-stream,
-    so it must not be traced; compile_tape=True silently falls back to
-    the generator path and the run completes normally."""
+    so each role is traced into its own tape; the A tape carries the
+    wrong-path chunks and is the one a refork seeks."""
     workload = DynSched(chunks=8, chunk_lines=4)
-    assert workload.traceable is False
-    result = run_mode(workload, cfg(True), "slipstream")
-    assert result.exec_cycles > 0
+    assert workload.role_independent is False
+    tapes = tape_cache(workload)
+    r_tape, a_tape = tapes.tape_for(0, "R"), tapes.tape_for(0, "A")
+    assert r_tape is tapes.tape_for(0, "R")
+    assert a_tape is not r_tape
+    assert len(a_tape) > len(r_tape)
+    assert a_tape.n_sessions == r_tape.n_sessions
 
 
 def test_forwarding_dynsched_is_traceable_and_identical():
-    make_workload = lambda: DynSched(chunks=8, chunk_lines=4,
-                                     forward_decisions=True)
-    assert make_workload().traceable is True
-    differential(make_workload, "slipstream")
+    """With decision forwarding the stream ignores the role: one tape per
+    task serves every role, and the run reproduces its corpus entry."""
+    workload = DynSched(chunks=8, chunk_lines=4, forward_decisions=True)
+    assert workload.role_independent is True
+    tapes = tape_cache(workload)
+    assert tapes.tape_for(1, "R") is tapes.tape_for(1, "A")
+    assert tapes.tape_for(1, "N") is tapes.tape_for(1, "R")
+    check("dynsched-fwd/slip-G1/dir-inv/plain")
