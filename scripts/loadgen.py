@@ -193,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="--spawn only: Runner worker processes")
     parser.add_argument("--supervised", action="store_true",
-                        help="--spawn only: execute waves through the "
+                        help="--spawn only: run each job in the "
                              "supervised worker pool (per-job process "
                              "isolation) even at --jobs 1")
     parser.add_argument("--trace-out", default=None, metavar="PATH",

@@ -252,7 +252,7 @@ class ServiceConfig:
     """Tunables of the simulation service (``repro.serve``).
 
     Deliberately separate from :class:`MachineConfig`: these knobs shape
-    how the *service* schedules work (admission, batching, deadlines) and
+    how the *service* schedules work (admission, deadlines) and
     must never leak into result-cache keys — the same ``RunSpec`` yields
     the same ``RunResult`` whatever the serving parameters (the
     bit-identity contract; see docs/architecture.md §12).
@@ -265,13 +265,10 @@ class ServiceConfig:
     max_queue: int = 64
     #: per-client in-flight cap (coalesced duplicates count too)
     per_client_inflight: int = 16
-    #: how long the batcher waits to fill a wave after the first job
-    batch_window_s: float = 0.05
-    #: maximum specs coalesced into one ``Runner.run_batch`` wave
-    max_batch: int = 16
-    #: wall-clock watchdog per wave: jobs still unresolved after this
-    #: many seconds are reported as ``error.type == "Timeout"`` (the same
-    #: shape the supervised pool's per-job wall-clock limit produces)
+    #: wall-clock watchdog per job, started when the job starts running:
+    #: a job still unresolved after this many seconds is reported as
+    #: ``error.type == "Timeout"`` (the same shape the supervised pool's
+    #: per-job wall-clock limit produces)
     job_timeout_s: float = 120.0
     #: seconds advertised in the 429/503 ``Retry-After`` header
     retry_after_s: float = 1.0
@@ -304,10 +301,7 @@ class ServiceConfig:
             raise ValueError("max_queue must be >= 1")
         if self.per_client_inflight < 1:
             raise ValueError("per_client_inflight must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        for name in ("batch_window_s", "job_timeout_s", "retry_after_s",
-                     "drain_timeout_s"):
+        for name in ("job_timeout_s", "retry_after_s", "drain_timeout_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.history_limit < 1:

@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional
@@ -92,6 +93,13 @@ class ResultCache:
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
+        #: guards the counters: a Runner reads and writes entries from
+        #: several threads at once
+        self._lock = threading.Lock()
+
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -103,7 +111,7 @@ class ResultCache:
             result = RunResult.from_dict(data)
         except OSError:
             # Absent (the common miss) or unreadable: nothing to quarantine.
-            self.misses += 1
+            self._count("misses")
             return None
         except (ValueError, TypeError, KeyError, AttributeError):
             # The file exists but its content is broken (AttributeError:
@@ -111,15 +119,15 @@ class ResultCache:
             # calls .items() on it).  Quarantine it: keep the evidence,
             # stop paying the parse failure on every run.
             self._quarantine(path)
-            self.misses += 1
+            self._count("misses")
             return None
-        self.hits += 1
+        self._count("hits")
         return result
 
     def _quarantine(self, path: Path) -> None:
         try:
             os.replace(path, path.with_name(path.name + ".corrupt"))
-            self.quarantined += 1
+            self._count("quarantined")
         except OSError:
             pass  # racing process already quarantined or removed it
 
@@ -134,14 +142,16 @@ class ResultCache:
         """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # A temp name unique per writer (process and thread): two
+        # writers of one key must not replace each other's temp file.
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         with open(tmp, "w") as fh:
             fh.write(json.dumps(result.to_dict(), sort_keys=True))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         self._fsync_dir()
-        self.writes += 1
+        self._count("writes")
 
     def _fsync_dir(self) -> None:
         """Best-effort directory fsync so the rename itself is durable."""

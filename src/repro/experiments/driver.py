@@ -124,6 +124,24 @@ class RunResult:
             suffix = f"[{self.policy}{'+SI' if self.si else ''}]"
         return f"{self.workload}/{self.mode}{suffix}@{self.n_cmps}"
 
+    @classmethod
+    def failure(cls, spec, kind: str, message: str,
+                attempts: Optional[int] = None,
+                trace_id: Optional[str] = None) -> "RunResult":
+        """The structured error result for ``spec`` (a RunSpec), the one
+        shape the runner, the worker pool and the service all report:
+        ``{"type", "message", ["attempts",] "spec", ["trace_id"]}``.
+        Optional fields are absent, not null, when not given."""
+        error: Dict[str, object] = {"type": kind, "message": message}
+        if attempts is not None:
+            error["attempts"] = attempts
+        error["spec"] = spec.label()
+        if trace_id is not None:
+            error["trace_id"] = trace_id
+        return cls(workload=spec.workload, mode=spec.mode,
+                   n_cmps=spec.n_cmps, exec_cycles=0, policy=spec.policy,
+                   error=error)
+
     # ------------------------------------------------------------------
     # JSON round-trip (used by the result cache and the worker pool)
     # ------------------------------------------------------------------

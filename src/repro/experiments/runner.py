@@ -14,7 +14,8 @@ separates *what to simulate* from *how to execute it*:
   in-process deduplication, (b) an optional on-disk
   :class:`~repro.experiments.cache.ResultCache`, and (c) fan-out of
   cache misses over the supervised worker pool
-  (:mod:`repro.experiments.supervisor`, ``jobs > 1``).
+  (:mod:`repro.experiments.supervisor`, ``jobs > 1``), all through one
+  per-spec step, :meth:`Runner.run_spec`.
 
 Determinism: the simulator is seeded and event ordering is FIFO
 tie-broken, so a spec produces bit-identical ``exec_cycles`` and
@@ -33,6 +34,8 @@ import os
 import sys
 import threading
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -208,8 +211,12 @@ class Runner:
       processes and invocations;
     * pooling — with ``jobs > 1`` (or an explicit ``supervisor``), every
       cache miss runs in the supervised worker pool
-      (:mod:`repro.experiments.supervisor`); with ``jobs == 1`` misses
-      run serially in-process, the reference path.
+      (:mod:`repro.experiments.supervisor`), a batch's distinct specs
+      on ``jobs_effective`` threads; with ``jobs == 1`` misses run
+      in-process one at a time, the reference path.
+
+    Every path is one per-spec step, :meth:`run_spec`, which the
+    serving layer also calls directly, one job at a time.
 
     Resilience (all modes return results in spec order, always):
 
@@ -262,9 +269,12 @@ class Runner:
                 supervisor = SupervisorConfig()
             self.pool = SupervisedPool(supervisor, self.jobs_effective)
         self._memo: Dict[RunSpec, RunResult] = {}
-        #: guards ``_memo``: the serving layer reads it on its event loop
-        #: (``memoized``) while a wave's thread updates it in run_batch
-        self._memo_lock = threading.Lock()
+        #: guards ``_memo`` and the batch statistics: specs run on
+        #: several threads at once (pooled batches, the serving layer)
+        self._lock = threading.Lock()
+        #: the in-process leg runs one simulation at a time, so a run the
+        #: serving watchdog abandoned never overlaps the next one
+        self._serial = threading.Lock()
         self.last_stats: Optional[BatchStats] = None
         self.total_stats = BatchStats(jobs=self.jobs_effective,
                                       jobs_requested=jobs)
@@ -282,19 +292,90 @@ class Runner:
         """The result this Runner already memoized for ``spec``, or None.
 
         Read-only: no stats, no spans, no disk-cache read.  Safe to call
-        from another thread while :meth:`run_batch` runs.
+        from another thread while specs run.
         """
         if self.config_overrides:
             spec = spec.with_config_overrides(**self.config_overrides)
-        with self._memo_lock:
+        with self._lock:
             return self._memo.get(spec)
+
+    def run_spec(self, spec: RunSpec,
+                 parent: Optional[object] = None) -> Tuple[RunResult, str]:
+        """One spec's result and its source: ``"memo"``, ``"cache"`` or
+        ``"executed"``.  Safe to call from any thread.
+
+        Tries the memo, then the disk cache, then runs the simulation —
+        in the pool when there is one, else in-process.  ``parent`` (a
+        :class:`~repro.obs.trace.SpanContext`) nests the step's spans
+        under a request when a tracer is attached.
+        """
+        if self.config_overrides:
+            spec = spec.with_config_overrides(**self.config_overrides)
+        tracer = self.tracer
+        with self._lock:
+            result = self._memo.get(spec)
+        if result is not None:
+            if tracer is not None:
+                tracer.start_span("runner.memo_hit", parent=parent,
+                                  spec=spec.label()).end()
+            return result, "memo"
+        key = spec.key() if self.cache is not None else None
+        if key is not None:
+            result = self.cache.get(key)
+            if result is not None:
+                if tracer is not None:
+                    tracer.start_span("runner.cache_hit", parent=parent,
+                                      spec=spec.label()).end()
+                with self._lock:
+                    self._memo[spec] = result
+                return result, "cache"
+        if self.pool is not None:
+            result = self.pool.run(spec, parent, tracer)
+            if self.fail_fast and result.error is not None:
+                raise RuntimeError(
+                    f"{result.error['type']} running {spec.label()}: "
+                    f"{result.error['message']}")
+        else:
+            result = self._execute(spec, parent)
+        if result.error is None:
+            if key is not None:
+                self.cache.put(key, result)
+            with self._lock:
+                self._memo[spec] = result
+        return result, "executed"
+
+    def _execute(self, spec: RunSpec, parent: Optional[object]) -> RunResult:
+        """The in-process leg: one simulation at a time."""
+        tracer = self.tracer
+        with self._serial:
+            span = (tracer.start_span("runner.execute", parent=parent,
+                                      spec=spec.label())
+                    if tracer is not None else None)
+            try:
+                if span is not None:
+                    from repro.obs.trace import trace_scope
+                    with trace_scope(tracer, span):
+                        return execute_spec(spec)
+                return execute_spec(spec)
+            except Exception as exc:
+                if self.fail_fast:
+                    raise
+                if span is not None:
+                    span.event("error", type=type(exc).__name__)
+                return RunResult.failure(spec, type(exc).__name__, str(exc),
+                                         attempts=1)
+            finally:
+                if span is not None:
+                    span.end()
 
     def run_batch(self, specs: Sequence[RunSpec],
                   parents: Optional[Sequence[object]] = None
                   ) -> List[RunResult]:
         """Execute all ``specs``; returns results in spec order.
 
-        Duplicate specs share one simulation (and one result object).
+        Duplicate specs share one :meth:`run_spec` step (and one result
+        object); with a pool, the distinct specs' steps run on
+        ``jobs_effective`` threads.
 
         ``parents`` — aligned with ``specs`` — carries per-request
         :class:`~repro.obs.trace.SpanContext` objects (or ``None``
@@ -307,113 +388,35 @@ class Runner:
         if self.config_overrides:
             specs = [spec.with_config_overrides(**self.config_overrides)
                      for spec in specs]
-        stats = BatchStats(total=len(specs), jobs=self.jobs_effective,
-                           jobs_requested=self.jobs)
-        results: Dict[RunSpec, RunResult] = {}
-
-        tracer = self.tracer
         parent_map: Dict[RunSpec, object] = {}
-        if tracer is not None and parents is not None:
+        if self.tracer is not None and parents is not None:
             for spec, ctx in zip(specs, parents):
-                if ctx is not None and spec not in parent_map:
-                    parent_map[spec] = ctx
+                if ctx is not None:
+                    parent_map.setdefault(spec, ctx)
+        distinct = list(dict.fromkeys(specs))
+        retries = self.pool.counts["retries"] if self.pool is not None else 0
 
-        pending: List[RunSpec] = []
-        for spec in specs:
-            if spec in results or spec in pending:
-                continue
-            memoized = self._memo.get(spec)
-            if memoized is not None:
-                results[spec] = memoized
-                stats.memo_hits += 1
-                if tracer is not None:
-                    tracer.start_span("runner.memo_hit",
-                                      parent=parent_map.get(spec),
-                                      spec=spec.label()).end()
-            else:
-                pending.append(spec)
-        stats.unique = len(pending) + stats.memo_hits
+        def step(spec: RunSpec) -> Tuple[RunResult, str]:
+            return self.run_spec(spec, parent_map.get(spec))
 
-        misses: List[RunSpec] = []
-        if self.cache is not None:
-            for spec in pending:
-                cached = self.cache.get(spec.key())
-                if cached is not None:
-                    results[spec] = cached
-                    stats.cache_hits += 1
-                    if tracer is not None:
-                        tracer.start_span("runner.cache_hit",
-                                          parent=parent_map.get(spec),
-                                          spec=spec.label()).end()
-                else:
-                    misses.append(spec)
+        if self.pool is not None:
+            with ThreadPoolExecutor(self.jobs_effective) as threads:
+                steps = list(threads.map(step, distinct))
         else:
-            misses = pending
-
-        if self.pool is not None and misses:
-            self._execute_supervised(misses, results, stats, parent_map)
-        else:
-            for spec in misses:
-                span = (tracer.start_span("runner.execute",
-                                          parent=parent_map.get(spec),
-                                          spec=spec.label())
-                        if tracer is not None else None)
-                try:
-                    if span is not None:
-                        from repro.obs.trace import trace_scope
-                        with trace_scope(tracer, span):
-                            results[spec] = execute_spec(spec)
-                    else:
-                        results[spec] = execute_spec(spec)
-                except Exception as exc:
-                    if self.fail_fast:
-                        raise
-                    results[spec] = self._error_result(spec, exc)
-                    if span is not None:
-                        span.event("error", type=type(exc).__name__)
-                finally:
-                    if span is not None:
-                        span.end()
-        stats.executed = len(misses)
-        stats.failed = sum(1 for spec in misses
-                           if results[spec].error is not None)
-
-        for spec in misses:
-            if self.cache is not None and results[spec].error is None:
-                self.cache.put(spec.key(), results[spec])
-        fresh = {s: r for s, r in results.items() if r.error is None}
-        with self._memo_lock:
-            self._memo.update(fresh)
-
-        stats.serial_seconds = sum(results[s].wall_seconds for s in set(specs))
-        stats.wall_seconds = time.perf_counter() - started
-        self.last_stats = stats
-        self.total_stats = self.total_stats.merged_with(stats)
+            steps = [step(spec) for spec in distinct]
+        results = {spec: result for spec, (result, _) in zip(distinct, steps)}
+        sources = Counter(source for _, source in steps)
+        stats = BatchStats(
+            total=len(specs), unique=len(distinct),
+            memo_hits=sources["memo"], cache_hits=sources["cache"],
+            executed=sources["executed"],
+            failed=sum(1 for result, _ in steps if result.error is not None),
+            retried=(self.pool.counts["retries"] - retries
+                     if self.pool is not None else 0),
+            jobs=self.jobs_effective, jobs_requested=self.jobs,
+            serial_seconds=sum(result.wall_seconds for result, _ in steps),
+            wall_seconds=time.perf_counter() - started)
+        with self._lock:
+            self.last_stats = stats
+            self.total_stats = self.total_stats.merged_with(stats)
         return [results[spec] for spec in specs]
-
-    # ------------------------------------------------------------------
-    # Supervised execution (per-job isolation, limits, breaker)
-    # ------------------------------------------------------------------
-    def _execute_supervised(self, misses: List[RunSpec],
-                            results: Dict[RunSpec, RunResult],
-                            stats: BatchStats,
-                            parent_map: Dict[RunSpec, object]) -> None:
-        wave_results, wave = self.pool.run_wave(misses, parents=parent_map,
-                                                tracer=self.tracer)
-        stats.retried += wave.retried
-        for spec in misses:
-            result = wave_results[spec]
-            if self.fail_fast and result.error is not None:
-                raise RuntimeError(
-                    f"{result.error['type']} running {spec.label()}: "
-                    f"{result.error['message']}")
-            results[spec] = result
-
-    @staticmethod
-    def _error_result(spec: RunSpec, exc: BaseException) -> RunResult:
-        """Structured per-spec failure record (never cached/memoized)."""
-        return RunResult(
-            workload=spec.workload, mode=spec.mode, n_cmps=spec.n_cmps,
-            exec_cycles=0, policy=spec.policy,
-            error={"type": type(exc).__name__, "message": str(exc),
-                   "attempts": 1, "spec": spec.label()})

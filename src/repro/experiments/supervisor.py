@@ -2,9 +2,11 @@
 
 This is the Runner's one parallel execution leg: every cache miss of a
 ``Runner(jobs > 1)`` — or of any Runner given a ``supervisor`` — runs
-here.  A shared executor lets one crashed worker abort every
-outstanding job and can only abandon, never reap, a hung one; this
-pool supervises each job instead:
+here, one job per :meth:`SupervisedPool.run` call on the calling
+thread; concurrent callers share the pool's worker slots.  A shared
+executor lets one crashed worker abort every outstanding job and can
+only abandon, never reap, a hung one; this pool supervises each job
+instead:
 
 * **per-job process isolation** — every spec runs in its own
   ``multiprocessing.Process`` with its own pipe, so one death affects
@@ -44,6 +46,8 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+import stat
+import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -211,11 +215,39 @@ class CircuitBreaker:
 # ----------------------------------------------------------------------
 # Worker child
 # ----------------------------------------------------------------------
+def _drop_inherited_sockets() -> None:
+    """Point every socket descriptor this fork inherited at /dev/null.
+
+    A forked worker holds copies of the server's listening socket and of
+    every client connection open at that moment.  A ``Connection:
+    close`` client reads until EOF, which arrives only when every copy
+    is closed, so left alone it would wait for an unrelated simulation
+    to end.  ``dup2`` (not ``close``) keeps each number taken, so a
+    socket object's finalizer can never close a file opened later.  The
+    result pipe and the process sentinel are pipes and stay open.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:                                    # pragma: no cover
+        return                                         # no procfs
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:          # listdir's own, already closed
+                continue
+    finally:
+        os.close(null)
+
+
 def _worker_main(conn, spec, key: str, attempt: int,
                  rss_limit_mb: Optional[int],
                  chaos_args: Optional[Dict[str, object]],
                  span_ctx: Optional[Dict[str, object]] = None) -> None:
-    """Child entry: apply limits, maybe inject chaos, run, report.
+    """Child entry: drop inherited sockets, apply limits, maybe inject
+    chaos, run, report.
 
     ``span_ctx`` (a serialized :class:`~repro.obs.trace.SpanContext`)
     reconstitutes the parent request's trace in this process: the run
@@ -224,8 +256,9 @@ def _worker_main(conn, spec, key: str, attempt: int,
     and the finished spans ship home *inside* the pipe payload —
     ``("ok", {"result": ..., "spans": [...]})`` instead of the plain
     ``("ok", result)`` shape used when tracing is off, so untraced
-    waves stay byte-identical to the pre-tracing protocol.
+    jobs stay byte-identical to the pre-tracing protocol.
     """
+    _drop_inherited_sockets()
     tracer = span = None
     if span_ctx is not None:
         from repro.obs.trace import SpanContext, Tracer
@@ -295,43 +328,14 @@ def _mp_context():
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
-@dataclass
-class WaveStats:
-    """What one :meth:`SupervisedPool.run_wave` call observed."""
-
-    jobs: int = 0
-    completed: int = 0        #: jobs that produced a real result
-    failed: int = 0           #: jobs resolved to a structured error
-    crashes: int = 0          #: worker deaths observed
-    hangs: int = 0            #: workers killed at the wall-clock limit
-    retried: int = 0          #: re-spawns after a crash
-    breaker_short_circuits: int = 0
-
-
-class _JobState:
-    __slots__ = ("spec", "key", "attempt", "ready_at", "process", "conn",
-                 "deadline", "span")
-
-    def __init__(self, spec, key: str, span=None):
-        self.spec = spec
-        self.key = key
-        self.attempt = 0
-        self.ready_at = 0.0
-        self.process = None
-        self.conn = None
-        self.deadline: Optional[float] = None
-        #: supervisor.job span (None when tracing is off); spawn/crash/
-        #: hang/retry/breaker transitions are recorded on it as events
-        self.span = span
-
-
 class SupervisedPool:
-    """Long-lived supervisor executing waves of unique specs.
+    """Long-lived supervisor running one spec per :meth:`run` call.
 
-    Breaker and health state persist across waves (that is the point:
+    Breaker and health state persist across calls (that is the point:
     a poison spec stays quarantined for the pool's lifetime, and health
-    reflects recent history, not one batch).  Not thread-safe; callers
-    serialize waves exactly as they serialize ``Runner.run_batch``.
+    reflects recent history, not one job).  Thread-safe: any number of
+    threads may call :meth:`run` at once; at most ``workers`` of them
+    hold a worker process, and the rest wait for a slot.
     """
 
     def __init__(self, config: SupervisorConfig, workers: int,
@@ -340,6 +344,7 @@ class SupervisedPool:
         #: max concurrent workers (the Runner's CPU-capped ``jobs``)
         self.configured_workers = workers
         self.workers = workers            #: current (possibly degraded) size
+        self._busy = 0                    # worker processes running now
         self.clock = clock
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown_s, clock)
@@ -348,8 +353,12 @@ class SupervisedPool:
         self._recent: deque = deque(maxlen=self.config.degrade_window)
         self.degraded = False
         self._ctx = _mp_context()
-        #: wave-scoped tracer (set by run_wave when tracing is on)
-        self._tracer = None
+        #: guards the state above; callers wait on it for a free slot
+        self._slots = threading.Condition()
+        #: one fork at a time: a child forked by another caller while
+        #: this job's pipe ends are open would keep them open, hiding
+        #: this worker's exit
+        self._forking = threading.Lock()
 
     # ------------------------------------------------------------------
     # Health gate
@@ -373,248 +382,163 @@ class SupervisedPool:
     def healthy(self) -> bool:
         """False while degraded or while any breaker is open — the
         serving layer turns this into readiness."""
-        return not self.degraded and not self.breaker.open_keys
+        with self._slots:
+            return not self.degraded and not self.breaker.open_keys
 
     # ------------------------------------------------------------------
-    # Wave execution
+    # Execution
     # ------------------------------------------------------------------
-    def run_wave(self, specs, parents=None,
-                 tracer=None) -> Tuple[Dict[object, RunResult], WaveStats]:
-        """Execute unique ``specs``; returns ``(results_by_spec, stats)``.
+    def run(self, spec, parent=None, tracer=None) -> RunResult:
+        """Run ``spec`` in its own worker process and return its result.
 
-        Every spec gets a result: real, or a structured error
-        (``WorkerCrash`` / ``Timeout`` / ``CircuitOpen`` / the child's
-        own exception type).
+        Always a result: real, or a structured error (``WorkerCrash`` /
+        ``Timeout`` / ``CircuitOpen`` / the child's own exception type).
+        Blocks the calling thread until the job, retries included, is
+        done.
 
-        ``parents`` (spec -> :class:`~repro.obs.trace.SpanContext`) and
-        ``tracer`` arm tracing: each spec gets a ``supervisor.job`` span
-        nested under its request, the span's context is serialized into
-        the worker process, and spans finished worker-side are adopted
-        back onto ``tracer`` when the result arrives.
+        ``parent`` (a :class:`~repro.obs.trace.SpanContext`) and
+        ``tracer`` arm tracing: the job gets a ``supervisor.job`` span
+        nested under ``parent``, the span's context is serialized into
+        the worker process, and the spans the worker finished are
+        adopted onto ``tracer`` when its report arrives.
         """
-        stats = WaveStats(jobs=len(specs))
-        results: Dict[object, RunResult] = {}
-        pending: List[_JobState] = []
-        self._tracer = tracer
-        parents = parents or {}
-        for spec in specs:
-            span = None
-            if tracer is not None:
-                span = tracer.start_span("supervisor.job",
-                                         parent=parents.get(spec),
-                                         spec=spec.label())
-            job = _JobState(spec, spec.key(), span=span)
-            if not self.breaker.allow(job.key):
-                stats.breaker_short_circuits += 1
+        key = spec.key()
+        span = None
+        if tracer is not None:
+            span = tracer.start_span("supervisor.job", parent=parent,
+                                     spec=spec.label())
+        with self._slots:
+            allowed = self.breaker.allow(key)
+            if not allowed:
                 self.counts["breaker_short_circuits"] += 1
-                if job.span is not None:
-                    job.span.event("breaker_short_circuit", key=job.key)
-                    job.span.set(outcome="CircuitOpen").end()
-                results[spec] = self._error_result(
-                    spec, "CircuitOpen",
-                    f"circuit breaker open for {spec.label()} after "
-                    f"{self.config.breaker_threshold} consecutive worker "
-                    f"deaths; job quarantined", job.attempt + 1)
-                stats.failed += 1
-                continue
-            pending.append(job)
-
-        running: List[_JobState] = []
-        try:
-            while pending or running:
-                self._spawn_ready(pending, running, self.clock())
-                if not self._poll_running(running, pending, results, stats):
-                    self._wait(running, pending)
-        finally:
-            for job in running:           # only on an unexpected raise
-                self._kill(job)
-        stats.completed = sum(1 for r in results.values() if r.error is None)
-        self.counts["completed"] += stats.completed
-        self.counts["failed"] += stats.failed
-        return results, stats
-
-    # ------------------------------------------------------------------
-    def _wait(self, running: List[_JobState],
-              pending: List[_JobState]) -> None:
-        """Block until a running job reports or exits, or until the
-        nearest wall-clock deadline (or, with a worker slot free, retry
-        backoff) expires."""
-        wake = [job.deadline for job in running if job.deadline is not None]
-        if len(running) < self.workers:
-            wake += [job.ready_at for job in pending]
-        timeout = max(0.0, min(wake) - self.clock()) if wake else None
-        multiprocessing.connection.wait(
-            [job.conn for job in running]
-            + [job.process.sentinel for job in running], timeout)
-
-    def _spawn_ready(self, pending: List[_JobState],
-                     running: List[_JobState], now: float) -> None:
-        for job in list(pending):
-            if len(running) >= self.workers:
-                return
-            if job.ready_at > now:
-                continue
-            pending.remove(job)
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            chaos_args = self.chaos.to_args() if self.chaos else None
-            span_ctx = (job.span.context.to_dict()
-                        if job.span is not None else None)
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(child_conn, job.spec, job.key, job.attempt,
-                      self.config.rss_limit_mb, chaos_args, span_ctx),
-                daemon=True)
-            process.start()
-            child_conn.close()
-            if job.span is not None:
-                job.span.event("spawn", pid=process.pid,
-                               attempt=job.attempt + 1)
-            job.process, job.conn = process, parent_conn
-            if self.config.wall_limit_s is not None:
-                job.deadline = self.clock() + self.config.wall_limit_s
-            running.append(job)
-
-    def _poll_running(self, running: List[_JobState],
-                      pending: List[_JobState],
-                      results: Dict[object, RunResult],
-                      stats: WaveStats) -> bool:
-        progressed = False
-        for job in list(running):
-            outcome = self._check_job(job)
-            if outcome is None:
-                continue
-            progressed = True
-            running.remove(job)
-            kind, payload = outcome
-            if kind == "ok":
-                self.breaker.record_success(job.key)
-                self._note_outcome(False)
-                payload = self._unwrap_traced(job, payload)
-                results[job.spec] = RunResult.from_dict(payload)
-                if job.span is not None:
-                    job.span.set(outcome="ok").end()
-            elif kind == "error":
-                # Deterministic child exception: no retry, and not a
-                # worker death — the worker itself behaved, so the
-                # breaker ignores it and the health gate counts it as a
-                # clean outcome.
-                self._note_outcome(False)
-                payload = self._unwrap_traced(job, payload, key="type")
-                results[job.spec] = self._error_result(
-                    job.spec, payload.get("type", "Error"),
-                    payload.get("message", ""), job.attempt + 1)
-                stats.failed += 1
-                if job.span is not None:
-                    job.span.event("worker_error",
-                                   type=payload.get("type", "Error"))
-                    job.span.set(outcome="error").end()
-            else:                         # "crash" | "hang"
-                died_hanging = kind == "hang"
-                if died_hanging:
-                    stats.hangs += 1
-                    self.counts["worker_hangs"] += 1
-                else:
-                    stats.crashes += 1
-                    self.counts["worker_crashes"] += 1
-                tripped = self.breaker.record_failure(job.key)
-                if tripped:
-                    self.counts["breaker_trips"] += 1
-                if job.span is not None:
-                    job.span.event("hang" if died_hanging else "crash",
-                                   attempt=job.attempt + 1)
+                self.counts["failed"] += 1
+        if not allowed:
+            if span is not None:
+                span.event("breaker_short_circuit", key=key)
+                span.set(outcome="CircuitOpen").end()
+            return RunResult.failure(
+                spec, "CircuitOpen",
+                f"circuit breaker open for {spec.label()} after "
+                f"{self.config.breaker_threshold} consecutive worker "
+                f"deaths; job quarantined", attempts=1)
+        attempt = 0
+        while True:
+            kind, payload = self._attempt(spec, key, attempt, span)
+            if span is not None and isinstance(payload, dict):
+                # traced payloads carry the worker's finished spans
+                tracer.adopt(payload.pop("spans", None))
+                if kind == "ok":
+                    payload = payload.get("result", payload)
+            died = kind in ("crash", "hang")
+            tripped = retry = False
+            with self._slots:
+                if kind == "ok":
+                    self.breaker.record_success(key)
+                elif died:
+                    self.counts["worker_hangs" if kind == "hang"
+                                else "worker_crashes"] += 1
+                    tripped = self.breaker.record_failure(key)
                     if tripped:
-                        job.span.event("breaker_open", key=job.key)
-                self._note_outcome(True)
-                if died_hanging:
-                    # A hang consumed its full wall budget; retrying
-                    # risks consuming another — report and move on.
-                    results[job.spec] = self._error_result(
-                        job.spec, "Timeout",
-                        f"worker exceeded the {self.config.wall_limit_s}s "
-                        f"wall-clock limit and was killed",
-                        job.attempt + 1)
-                    stats.failed += 1
-                    if job.span is not None:
-                        job.span.set(outcome="Timeout").end()
-                else:
-                    allowed = self.breaker.allow(job.key)
-                    if job.attempt < self.config.retries and allowed:
-                        job.attempt += 1
-                        stats.retried += 1
-                        self.counts["retries"] += 1
-                        job.ready_at = self.clock() + (
-                            self.config.retry_backoff_s
-                            * 2 ** (job.attempt - 1))
-                        job.process = job.conn = job.deadline = None
-                        if job.span is not None:
-                            job.span.event(
-                                "retry", attempt=job.attempt + 1,
-                                backoff_s=self.config.retry_backoff_s
-                                * 2 ** (job.attempt - 1))
-                        pending.append(job)
-                    else:
-                        reason = ("circuit breaker opened" if not allowed
-                                  else "retry budget exhausted")
-                        results[job.spec] = self._error_result(
-                            job.spec, "WorkerCrash",
-                            f"worker died {job.attempt + 1} time(s) running "
-                            f"{job.spec.label()} ({reason})",
-                            job.attempt + 1)
-                        stats.failed += 1
-                        if job.span is not None:
-                            job.span.set(outcome="WorkerCrash",
-                                         reason=reason).end()
-        return progressed
+                        self.counts["breaker_trips"] += 1
+                    allowed = self.breaker.allow(key)
+                    retry = (kind == "crash" and allowed
+                             and attempt < self.config.retries)
+                # A child's own exception is deterministic and no worker
+                # death: the breaker ignores it, and the health gate
+                # counts it as a clean outcome.
+                self._note_outcome(died)
+                self.counts["completed" if kind == "ok" else
+                            "retries" if retry else "failed"] += 1
+                self._slots.notify_all()    # the gate may resize the pool
+            if kind == "ok":
+                if span is not None:
+                    span.set(outcome="ok").end()
+                return RunResult.from_dict(payload)
+            if kind == "error":
+                if span is not None:
+                    span.event("worker_error",
+                               type=payload.get("type", "Error"))
+                    span.set(outcome="error").end()
+                return RunResult.failure(
+                    spec, payload.get("type", "Error"),
+                    payload.get("message", ""), attempts=attempt + 1)
+            if span is not None:
+                span.event(kind, attempt=attempt + 1)
+                if tripped:
+                    span.event("breaker_open", key=key)
+            if kind == "hang":
+                # A hang consumed its full wall budget; retrying risks
+                # consuming another — report and move on.
+                if span is not None:
+                    span.set(outcome="Timeout").end()
+                return RunResult.failure(
+                    spec, "Timeout",
+                    f"worker exceeded the {self.config.wall_limit_s}s "
+                    f"wall-clock limit and was killed", attempts=attempt + 1)
+            if not retry:
+                reason = ("circuit breaker opened" if not allowed
+                          else "retry budget exhausted")
+                if span is not None:
+                    span.set(outcome="WorkerCrash", reason=reason).end()
+                return RunResult.failure(
+                    spec, "WorkerCrash",
+                    f"worker died {attempt + 1} time(s) running "
+                    f"{spec.label()} ({reason})", attempts=attempt + 1)
+            attempt += 1
+            backoff = self.config.retry_backoff_s * 2 ** (attempt - 1)
+            if span is not None:
+                span.event("retry", attempt=attempt + 1, backoff_s=backoff)
+            time.sleep(backoff)             # outside the slot
 
-    def _unwrap_traced(self, job: _JobState, payload, key: str = "result"):
-        """Undo the traced pipe-payload wrapping: adopt the worker's
-        shipped spans onto the wave tracer and return the inner payload.
-        Untraced jobs pass through untouched (old wire shape)."""
-        if job.span is None or not isinstance(payload, dict):
-            return payload
-        spans = payload.pop("spans", None)
-        if spans and self._tracer is not None:
-            self._tracer.adopt(spans)
-        if key == "result" and "result" in payload:
-            return payload["result"]
-        return payload
-
-    def _check_job(self, job: _JobState):
-        """``None`` while still running, else ``(kind, payload)``."""
-        if job.conn.poll():
-            try:
-                message = job.conn.recv()
-            except (EOFError, OSError):
+    def _attempt(self, spec, key: str, attempt: int,
+                 span) -> Tuple[str, object]:
+        """One worker process: wait for a slot, fork, then wait for the
+        worker's report, its exit or its wall-clock deadline.  Returns
+        ``(kind, payload)`` with kind ``ok``, ``error``, ``crash`` or
+        ``hang``."""
+        with self._slots:
+            while self._busy >= self.workers:
+                self._slots.wait()
+            self._busy += 1
+        try:
+            with self._forking:
+                conn, child_conn = self._ctx.Pipe(duplex=False)
+                with child_conn:
+                    process = self._ctx.Process(
+                        target=_worker_main,
+                        args=(child_conn, spec, key, attempt,
+                              self.config.rss_limit_mb,
+                              self.chaos.to_args() if self.chaos else None,
+                              span.context.to_dict() if span is not None
+                              else None),
+                        daemon=True)
+                    process.start()
+            with conn:
+                if span is not None:
+                    span.event("spawn", pid=process.pid,
+                               attempt=attempt + 1)
+                if not multiprocessing.connection.wait(
+                        [conn, process.sentinel], self.config.wall_limit_s):
+                    self._kill(process)
+                    return "hang", None
                 message = None
-            self._reap(job)
-            if isinstance(message, tuple) and len(message) == 2:
+                if conn.poll():          # a report (maybe racing the exit)
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):
+                        pass
+                process.join(timeout=5)
+            if (isinstance(message, tuple) and len(message) == 2
+                    and message[0] in ("ok", "error")):
                 return message
-            return ("crash", None)
-        if not job.process.is_alive():
-            # Exited without (or racing) a message: one last poll.
-            if job.conn.poll():
-                return self._check_job(job)
-            self._reap(job)
-            return ("crash", None)
-        if job.deadline is not None and self.clock() >= job.deadline:
-            self._kill(job)
-            return ("hang", None)
-        return None
+            return "crash", None
+        finally:
+            with self._slots:
+                self._busy -= 1
+                self._slots.notify_all()
 
-    def _reap(self, job: _JobState) -> None:
-        try:
-            job.process.join(timeout=5)
-        except Exception:                              # pragma: no cover
-            pass
-        try:
-            job.conn.close()
-        except Exception:                              # pragma: no cover
-            pass
-
-    def _kill(self, job: _JobState) -> None:
-        process = job.process
-        if process is None:
-            return
+    @staticmethod
+    def _kill(process) -> None:
         try:
             process.terminate()
             process.join(timeout=0.5)
@@ -623,30 +547,16 @@ class SupervisedPool:
                 process.join(timeout=5)
         except Exception:                              # pragma: no cover
             pass
-        try:
-            job.conn.close()
-        except Exception:                              # pragma: no cover
-            pass
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _error_result(spec, kind: str, message: str,
-                      attempts: int) -> RunResult:
-        """Structured failure in the Runner's error shape (never
-        cached/memoized upstream)."""
-        return RunResult(
-            workload=spec.workload, mode=spec.mode, n_cmps=spec.n_cmps,
-            exec_cycles=0, policy=spec.policy,
-            error={"type": kind, "message": message, "attempts": attempts,
-                   "spec": spec.label()})
-
     def stats(self) -> Dict[str, object]:
         """Counters + breaker/health state for ``/metrics`` re-export."""
-        data: Dict[str, object] = dict(self.counts)
-        data.update(workers=self.workers,
-                    configured_workers=self.configured_workers,
-                    degraded=int(self.degraded),
-                    breaker=self.breaker.state_counts())
+        with self._slots:
+            data: Dict[str, object] = dict(self.counts)
+            data.update(workers=self.workers,
+                        configured_workers=self.configured_workers,
+                        degraded=int(self.degraded),
+                        breaker=self.breaker.state_counts())
         return data
 
     def __repr__(self) -> str:

@@ -43,7 +43,7 @@ FAULT_PROFILES = {
     # remote fetch ever completes, so a multi-node run only terminates
     # via max_cycles.  A deliberate *stall*, not a perturbation — it
     # exists to exercise wall-clock watchdogs (the Runner's pooled-
-    # progress watchdog, the serving layer's per-wave deadline).  Always
+    # progress watchdog, the serving layer's per-job deadline).  Always
     # pair it with max_cycles and n_cmps >= 2 (a single node has no
     # network hops to drop).
     "blackhole": dict(fault_net_drop_rate=1.0,

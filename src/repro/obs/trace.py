@@ -35,7 +35,7 @@ driver, deep inside a worker) reads the ambient scope instead:
 
 Thread-safety: ``start_span``/``end`` only ever *append* to the
 tracer's finished-list (atomic under the GIL), so the serving layer may
-finish spans from its event loop while the wave thread finishes runner
+finish spans from its event loop while job threads finish runner
 spans on the same tracer.
 """
 

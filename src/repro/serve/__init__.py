@@ -4,7 +4,7 @@
 only) that accepts :class:`~repro.experiments.runner.RunSpec` requests
 and pushes them through an inference-serving-shaped pipeline::
 
-    admission -> single-flight dedup -> batch -> Runner.run_batch -> obs
+    admission -> single-flight dedup -> Runner.run_spec per job -> obs
 
 See :mod:`repro.serve.service` for the pipeline, :mod:`repro.serve.http`
 for the endpoints, :mod:`repro.serve.client` for the blocking client and
@@ -15,9 +15,10 @@ seeded request traces against a running service.
 
 Durability (docs/architecture.md §13): :mod:`repro.serve.journal` is a
 write-ahead job journal — with ``--journal-dir`` set, a ``kill -9``
-mid-wave loses no accepted work; the next start replays unresolved jobs
-(bit-identical results, the simulator being deterministic) before the
-readiness probe (``/healthz?ready=1``) goes green.
+with jobs in flight loses no accepted work; the next start replays
+unresolved jobs (bit-identical results, the simulator being
+deterministic) before the readiness probe (``/healthz?ready=1``) goes
+green.
 """
 
 from repro.config import ServiceConfig

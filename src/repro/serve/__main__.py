@@ -14,15 +14,19 @@ Then::
     curl -s localhost:8642/metrics
 
 ``--verbose`` subscribes a line printer to the service's ``serve.*``
-bus categories, streaming admission/batch/completion events to stderr.
+bus categories, streaming admission/completion events to stderr.
+
+Each admitted job starts as soon as one of the ``--jobs`` slots is free
+and answers its clients as soon as its own result lands.
 
 Durability & supervision: ``--journal-dir DIR`` arms the write-ahead
-job journal — a ``kill -9`` mid-wave loses no accepted work; the next
-start replays unresolved jobs before reporting ready.  With ``--jobs``
-above 1 — or ``--supervised``, which forces it at ``--jobs 1`` — each job
-runs in its own watched process of the supervised pool (``--wall-limit``
-/ ``--rss-limit`` / ``--retries``, circuit breaker for poison specs),
-and ``--chaos PROFILE`` arms deterministic harness faults for drills.
+job journal — a ``kill -9`` with jobs in flight loses no accepted work;
+the next start replays unresolved jobs before reporting ready.  With
+``--jobs`` above 1 — or ``--supervised``, which forces it at ``--jobs
+1`` — each job runs in its own watched process of the supervised pool
+(``--wall-limit`` / ``--rss-limit`` / ``--retries``, circuit breaker
+for poison specs), and ``--chaos PROFILE`` arms deterministic harness
+faults for drills.
 SIGTERM triggers a graceful drain bounded by ``--drain-timeout``.
 """
 
@@ -57,20 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
                         default=defaults.per_client_inflight,
                         help="per-client in-flight cap "
                              f"(default {defaults.per_client_inflight})")
-    parser.add_argument("--batch-window", type=float,
-                        default=defaults.batch_window_s, metavar="SEC",
-                        help="how long the batcher waits to fill a wave "
-                             f"(default {defaults.batch_window_s})")
-    parser.add_argument("--max-batch", type=int, default=defaults.max_batch,
-                        help="max specs per Runner.run_batch wave "
-                             f"(default {defaults.max_batch})")
     parser.add_argument("--timeout", type=float,
                         default=defaults.job_timeout_s, metavar="SEC",
-                        help="per-wave wall-clock watchdog; stuck jobs "
-                             "resolve as structured Timeout errors "
+                        help="per-job wall-clock watchdog, from the job's "
+                             "start; stuck jobs resolve as structured "
+                             "Timeout errors "
                              f"(default {defaults.job_timeout_s})")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="Runner worker processes per wave (default 1)")
+                        help="jobs run at once, each in its own worker "
+                             "process when above 1 (default 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -104,7 +103,6 @@ def make_server(args) -> ServiceServer:
     config = ServiceConfig(
         host=args.host, port=args.port, max_queue=args.max_queue,
         per_client_inflight=args.per_client,
-        batch_window_s=args.batch_window, max_batch=args.max_batch,
         job_timeout_s=args.timeout, journal_dir=args.journal_dir,
         journal_fsync=not args.no_journal_fsync,
         drain_timeout_s=args.drain_timeout,
@@ -112,7 +110,7 @@ def make_server(args) -> ServiceServer:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     # With a pool (--jobs > 1 or --supervised) each job runs in its own
     # process, and one that outlives --wall-limit is killed and reaped.
-    # The per-wave --timeout watchdog above it answers the clients
+    # The per-job --timeout watchdog above it answers the clients
     # whichever fires first; at --jobs 1 it guards the in-process leg
     # alone, whose thread cannot be killed.
     runner = Runner(jobs=args.jobs, cache=cache, supervisor=pool_config(args))
@@ -129,7 +127,6 @@ async def _amain(args) -> int:
     await server.start()
     print(f"[serve] listening on http://{server.host}:{server.port} "
           f"(max_queue={server.config.max_queue}, "
-          f"batch_window={server.config.batch_window_s}s, "
           f"jobs={server.service.runner.jobs_effective}, "
           f"journal={args.journal_dir or 'off'}, "
           f"supervised={server.service.runner.pool is not None})",

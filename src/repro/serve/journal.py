@@ -12,9 +12,9 @@ is never admitted, so it writes none:
   the write-ahead rule.  Carries the full JSON spec and the submitting
   client, so a restarted service can rebuild the job from the record
   alone;
-* ``started`` — the job entered an execution wave (diagnostic: a
-  recovered job with ``started`` died mid-simulation, one without died
-  queued);
+* ``started`` — the job got an execution slot and began running
+  (diagnostic: a recovered job with ``started`` died mid-simulation, one
+  without died queued);
 * ``resolved`` — the job finished (``done``/``failed``/``timeout``).
   Written after the Runner's result cache was updated, so ``resolved``
   implies a successful job's result is durable in the cache.

@@ -1,4 +1,4 @@
-"""The simulation service core: admission → dedup → batch → execute → observe.
+"""The simulation service core: admission → dedup → execute → observe.
 
 :class:`SimulationService` is the long-lived front-end the one-shot CLI
 never had.  It accepts :class:`~repro.experiments.runner.RunSpec`
@@ -7,42 +7,42 @@ four stages, each reusing an existing subsystem rather than reinventing
 it:
 
 1. **admission** — a spec the Runner has already memoized is answered
-   on the spot (no journal record, no queue slot, no wave).  Everything
-   else meets a bounded queue of unresolved unique jobs plus a
-   per-client in-flight cap.  Work beyond either bound is *shed*
-   (:class:`Shed`, surfaced as HTTP 429 + ``Retry-After``) instead of
-   being buffered without bound;
+   on the spot (no journal record, no queue slot).  Everything else
+   meets a bounded queue of unresolved unique jobs plus a per-client
+   in-flight cap.  Work beyond either bound is *shed* (:class:`Shed`,
+   surfaced as HTTP 429 + ``Retry-After``) instead of being buffered
+   without bound;
 2. **single-flight dedup** — identical in-flight specs coalesce onto one
    job, keyed by the spec's content-addressed result-cache key
    (:meth:`RunSpec.key`), so a thundering herd of the same parameter
    point costs one simulation;
-3. **batching** — admitted jobs are gathered for ``batch_window_s`` (or
-   until ``max_batch``) and executed as one
-   :meth:`~repro.experiments.runner.Runner.run_batch` wave, inheriting
-   the runner's in-batch dedup, memo, disk cache and — with a pool —
-   per-job isolation, wall-clock limit and crash retry;
+3. **execution** — each admitted job starts as soon as one of the
+   Runner's ``jobs_effective`` slots is free and resolves on its own
+   result: one :meth:`~repro.experiments.runner.Runner.run_spec` step
+   (memo, disk cache, then — with a pool — an isolated, wall-clock
+   limited, crash-retried worker);
 4. **observation** — every stage feeds the ``repro.obs`` spine: probes on
-   a wall-clock bus (``serve.request`` / ``serve.shed`` / ``serve.batch``
-   / ``serve.done`` / ``serve.timeout``) and a
-   :class:`~repro.obs.registry.MetricsRegistry` (queue depth, batch
-   occupancy, shed/coalesced/executed counters, a request-latency
-   histogram that ``/metrics`` turns into p50/p95 gauges).
+   a wall-clock bus (``serve.request`` / ``serve.shed`` / ``serve.done``
+   / ``serve.timeout``) and a
+   :class:`~repro.obs.registry.MetricsRegistry` (queue depth,
+   shed/coalesced/executed counters, a request-latency histogram that
+   ``/metrics`` turns into p50/p95 gauges).
 
-A wall-clock watchdog guards each wave: jobs unresolved after
-``job_timeout_s`` resolve to the same structured ``error.type ==
-"Timeout"`` record the pool's per-job wall-clock limit produces.  The
-wave's thread itself cannot be killed (a pool worker can; the Runner's
-serial leg cannot), so a deliberately-stalled run — e.g. the fault layer's
-``blackhole`` profile, where every coherence request is dropped and only
-``max_cycles`` terminates the run — unblocks its *clients* immediately
-while the worker thread drains in the background; its late result is
-discarded.
+A wall-clock watchdog guards each job from the moment it starts: a job
+unresolved after ``job_timeout_s`` resolves to the same structured
+``error.type == "Timeout"`` record the pool's per-job wall-clock limit
+produces.  The job's thread itself cannot be killed (a pool worker can;
+the Runner's in-process leg cannot), so a deliberately-stalled run —
+e.g. the fault layer's ``blackhole`` profile, where every coherence
+request is dropped and only ``max_cycles`` terminates the run —
+unblocks its *clients* immediately while the thread drains in the
+background; its late result is discarded.
 
 Bit-identity contract: the service never touches how a spec executes —
-it only decides *when* and *batched with what*.  A served result is
-therefore bit-identical (minus ``wall_seconds``) to a direct
-``Runner``/``execute_spec`` run of the same spec, which the conformance
-suite and the load generator's ``--verify`` both assert.
+it only decides *when*.  A served result is therefore bit-identical
+(minus ``wall_seconds``) to a direct ``Runner``/``execute_spec`` run of
+the same spec, which the conformance suite and the load generator's
+``--verify`` both assert.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ import dataclasses
 import itertools
 import random
 import sys
-import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import ServiceConfig
 from repro.experiments.driver import RunResult
@@ -69,9 +68,6 @@ from repro.serve.journal import JobJournal
 #: "budget" edge — a p95 beyond it reads as inf and fails budget checks)
 LATENCY_BUCKETS_MS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
                       5000, 10_000, 30_000, 60_000, 120_000)
-#: batch-occupancy histogram buckets (specs per wave)
-OCCUPANCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
-
 #: deterministic RunResult fields — everything except the wall-clock
 #: measurement — used by identity checks between served and direct runs
 NONDETERMINISTIC_FIELDS = ("wall_seconds",)
@@ -144,7 +140,7 @@ class Job:
         self.coalesced = 0          #: duplicate submissions attached
         #: tracing state (all None/empty when the service is untraced):
         #: the request root span, the open queue-wait child, the open
-        #: wave-execute child, and the coalesced followers' spans (each
+        #: execution child, and the coalesced followers' spans (each
         #: follower gets its own root, linked to this job's trace, plus
         #: a coalesce-wait child — all closed at resolution)
         self.span = None
@@ -169,16 +165,16 @@ class Job:
 
 
 class SimulationService:
-    """Admission-controlled, coalescing, batching front-end to a
+    """Admission-controlled, coalescing front-end to a
     :class:`~repro.experiments.runner.Runner`.
 
     All state is owned by the event loop the service runs on; the only
-    off-loop work is ``Runner.run_batch`` inside ``asyncio.to_thread``,
-    serialized by a lock so the (not thread-safe) runner never sees two
-    waves at once — an abandoned (timed-out) wave holds the lock until
-    its thread drains, so a stall degrades capacity, never correctness.
-    The one runner state the loop reads while a wave runs is the memo
-    (``Runner.memoized``), which has its own small lock.
+    off-loop work is one ``Runner.run_spec`` per running job inside
+    ``asyncio.to_thread``, which the Runner makes safe from any thread.
+    At most ``jobs_effective`` jobs run at once.  An abandoned
+    (timed-out) job gives its slot back, but its thread still holds the
+    Runner's in-process leg or a pool worker until it drains, so a stall
+    degrades capacity, never correctness.
     """
 
     def __init__(self, runner: Optional[Runner] = None,
@@ -218,7 +214,6 @@ class SimulationService:
         # probes (serve.* categories on the wall-clock bus)
         self._p_request = self.bus.probe("serve.request")
         self._p_shed = self.bus.probe("serve.shed")
-        self._p_batch = self.bus.probe("serve.batch")
         self._p_done = self.bus.probe("serve.done")
         self._p_timeout = self.bus.probe("serve.timeout")
         self._p_recovered = self.bus.probe("serve.recovered")
@@ -229,41 +224,40 @@ class SimulationService:
         self._m_requests = reg.counter("serve.requests")
         self._m_shed = reg.counter("serve.shed")
         self._m_coalesced = reg.counter("serve.coalesced")
-        self._m_batches = reg.counter("serve.batches")
         self._m_executed = reg.counter("serve.executed")
         self._m_cache_hits = reg.counter("serve.cache_hits")
         self._m_memo_hits = reg.counter("serve.memo_hits")
+        #: Runner.run_spec source -> the counter it feeds
+        self._m_source = {"executed": self._m_executed,
+                          "cache": self._m_cache_hits,
+                          "memo": self._m_memo_hits}
         self._m_failed = reg.counter("serve.failed")
         self._m_timeouts = reg.counter("serve.timeouts")
         self._m_recovered = reg.counter("serve.recovered")
         self._m_unavailable = reg.counter("serve.unavailable")
         self._h_latency = reg.histogram("serve.latency_ms",
                                         buckets=LATENCY_BUCKETS_MS)
-        self._h_occupancy = reg.histogram("serve.batch_occupancy",
-                                          buckets=OCCUPANCY_BUCKETS)
         self._h_replay = reg.histogram("serve.replay_ms",
                                        buckets=LATENCY_BUCKETS_MS)
 
-        self._queue: "asyncio.Queue[Job]" = asyncio.Queue()
         self._inflight: Dict[str, Job] = {}       # cache key -> live job
         self._history: "OrderedDict[str, Job]" = OrderedDict()
         self._client_inflight: Dict[str, int] = {}
         self._ids = itertools.count(1)
-        self._runner_lock = None                  # created lazily (thread)
-        self._batcher: Optional[asyncio.Task] = None
+        self._tasks: Set[asyncio.Task] = set()    # one per admitted job
+        #: the Runner's execution slots (created on the loop, in start)
+        self._slots: Optional[asyncio.Semaphore] = None
         self.depth = 0                            #: unresolved unique jobs
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        if self._runner_lock is None:
-            self._runner_lock = threading.Lock()
+        if self._slots is None:
+            self._slots = asyncio.Semaphore(self.runner.jobs_effective)
         if self._journal is not None and not self.ready:
             self._replay_journal()
         self.ready = True
-        if self._batcher is None:
-            self._batcher = asyncio.create_task(self._batch_loop())
 
     def _replay_journal(self) -> None:
         """Recover the journal and re-admit every unresolved job.
@@ -310,19 +304,16 @@ class SimulationService:
 
     async def stop(self) -> None:
         self.ready = False
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         for job in list(self._inflight.values()):
             if not job.future.done():
                 # Deliberately NOT journaled as resolved: a stop with
                 # work in flight must leave those jobs recoverable, so
                 # the next start re-admits them.
-                self._resolve(job, self._error_result(
+                self._resolve(job, RunResult.failure(
                     job.spec, "ServiceStopped",
                     "service shut down before the job ran",
                     trace_id=self._trace_id(job)), "failed",
@@ -429,7 +420,7 @@ class SimulationService:
     def _admit(self, spec: RunSpec, client: str, *,
                key: Optional[str] = None, journal: bool = True,
                trace_id: Optional[str] = None) -> Job:
-        """Create, journal, and enqueue a new unique job.
+        """Create, journal, and start a new unique job.
 
         The ``accepted`` record is written (and fsynced) *before* any
         service state mutates — if the append fails, the request errors
@@ -467,13 +458,15 @@ class SimulationService:
             self._client_inflight.get(client, 0) + 1)
         self.depth += 1
         self._g_depth.set(self.depth)
-        self._queue.put_nowait(job)
         if span is not None:
             span.set(job=job.id)
             admission.end()
             job.span = span
             job.wait_span = self.tracer.start_span("serve.queue_wait",
                                                    parent=span)
+        task = asyncio.get_running_loop().create_task(self._execute(job))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
         self._p_request(job.id, spec.label(), client=client)
         return job
 
@@ -551,84 +544,60 @@ class SimulationService:
         return "worker pool unhealthy (degraded or breaker open)"
 
     # ------------------------------------------------------------------
-    # Stage 3: batching and execution
+    # Stage 3: execution
     # ------------------------------------------------------------------
-    async def _batch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            wave = [await self._queue.get()]
-            deadline = loop.time() + self.config.batch_window_s
-            while len(wave) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    wave.append(await asyncio.wait_for(self._queue.get(),
-                                                       remaining))
-                except asyncio.TimeoutError:
-                    break
-            await self._execute_wave(wave)
-
-    def _locked_run_batch(self, specs, parents=None):
-        with self._runner_lock:
-            results = self.runner.run_batch(specs, parents=parents)
-            return results, self.runner.last_stats
-
-    async def _execute_wave(self, wave: List[Job]) -> None:
-        wave = [job for job in wave if not job.future.done()]
-        if not wave:
-            return
-        for job in wave:
+    async def _execute(self, job: Job) -> None:
+        """Run one admitted job once a slot is free, and resolve it on
+        its own result; the watchdog starts with the run."""
+        async with self._slots:
             job.status = "running"
             self._journal_note("started", job.key)
-            if job.wait_span is not None:
+            parent = None
+            if job.span is not None:
                 job.wait_span.end()
                 job.wait_span = None
-            if job.span is not None:
+                # (the span keeps its historical name: benchmark layer
+                # attribution and the CI tracing smoke key on it)
                 job.exec_span = self.tracer.start_span(
-                    "serve.wave_execute", parent=job.span,
-                    wave_size=len(wave))
-        self._m_batches.inc()
-        self._h_occupancy.observe(len(wave))
-        self._p_batch("wave", f"{len(wave)} spec(s)",
-                      jobs=[job.id for job in wave])
-        specs = [job.spec for job in wave]
-        parents = None
-        if self.tracer is not None:
-            parents = [job.exec_span.context if job.exec_span is not None
-                       else None for job in wave]
-        try:
-            results, stats = await asyncio.wait_for(
-                asyncio.to_thread(self._locked_run_batch, specs, parents),
-                self.config.job_timeout_s)
-        except asyncio.TimeoutError:
-            for job in wave:
+                    "serve.wave_execute", parent=job.span)
+                parent = job.exec_span.context
+            try:
+                result, source = await asyncio.wait_for(
+                    asyncio.to_thread(self.runner.run_spec, job.spec,
+                                      parent),
+                    self.config.job_timeout_s)
+            except asyncio.TimeoutError:
                 self._m_timeouts.inc()
                 self._p_timeout(job.id, job.spec.label())
                 if job.exec_span is not None:
                     job.exec_span.event("watchdog_timeout",
                                         budget_s=self.config.job_timeout_s)
-                self._resolve(job, self._error_result(
+                status = "timeout"
+                result = RunResult.failure(
                     job.spec, "Timeout",
                     f"no result within {self.config.job_timeout_s}s "
-                    f"(serve watchdog)", trace_id=self._trace_id(job)),
-                    "timeout")
-            return
-        self._m_executed.inc(stats.executed)
-        self._m_cache_hits.inc(stats.cache_hits)
-        self._m_memo_hits.inc(stats.memo_hits)
-        self._m_failed.inc(stats.failed)
-        for job, result in zip(wave, results):
-            self._resolve(job, result,
-                          "failed" if result.error is not None else "done")
+                    f"(serve watchdog)", trace_id=self._trace_id(job))
+            except Exception as exc:
+                # Whatever escapes the Runner (a failed cache write or
+                # fork, no file descriptors left) fails this job alone.
+                self._m_failed.inc()
+                status = "failed"
+                result = RunResult.failure(
+                    job.spec, type(exc).__name__, str(exc),
+                    trace_id=self._trace_id(job))
+            else:
+                self._m_source[source].inc()
+                status = "done"
+                if result.error is not None:
+                    self._m_failed.inc()
+                    status = "failed"
+        self._resolve(job, result, status)
 
     # ------------------------------------------------------------------
     # Resolution and bookkeeping
     # ------------------------------------------------------------------
     def _resolve(self, job: Job, result: RunResult, status: str,
                  journal: bool = True) -> None:
-        if job.future.done():
-            return                       # late result of an abandoned wave
         job.status = status
         job.future.set_result(result)
         if job.span is not None:
@@ -669,8 +638,8 @@ class SimulationService:
         Unlike the write-ahead ``accepted`` record, these only *narrow*
         recovery work — losing one means a restart re-runs a job it
         could have skipped, which determinism makes harmless.  So append
-        failures are swallowed into a counter instead of killing the
-        batch loop.
+        failures are swallowed into a counter instead of failing the
+        job.
         """
         if self._journal is None:
             return
@@ -690,23 +659,6 @@ class SimulationService:
     @staticmethod
     def _trace_id(job: Job) -> Optional[str]:
         return job.span.context.trace_id if job.span is not None else None
-
-    @staticmethod
-    def _error_result(spec: RunSpec, kind: str, message: str,
-                      trace_id: Optional[str] = None) -> RunResult:
-        """Structured failure record in the Runner's error shape.
-
-        ``trace_id`` (tracing only) rides inside the error object so a
-        client holding a 504/shutdown failure can find the server-side
-        trace that explains it — absent entirely when tracing is off,
-        keeping the error payload byte-identical.
-        """
-        error = {"type": kind, "message": message, "spec": spec.label()}
-        if trace_id is not None:
-            error["trace_id"] = trace_id
-        return RunResult(
-            workload=spec.workload, mode=spec.mode, n_cmps=spec.n_cmps,
-            exec_cycles=0, policy=spec.policy, error=error)
 
     # ------------------------------------------------------------------
     # Introspection (the HTTP layer renders these)

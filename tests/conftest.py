@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.config import MachineConfig
@@ -25,6 +27,25 @@ def tiny_config(n_cmps: int = 2, **overrides) -> MachineConfig:
 @pytest.fixture
 def tiny_system():
     return System(tiny_config())
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Hold every in-process ``execute_spec`` call until the test calls
+    ``gate.set()`` — how serving tests keep a job in flight.  Opened at
+    teardown too, so no simulation thread is left waiting."""
+    from repro.experiments import runner
+
+    opened = threading.Event()
+    execute = runner.execute_spec
+
+    def gated(spec):
+        opened.wait(timeout=60)
+        return execute(spec)
+
+    monkeypatch.setattr(runner, "execute_spec", gated)
+    yield opened
+    opened.set()
 
 
 def run_process(engine: Engine, gen, until=None):

@@ -22,6 +22,7 @@ from repro.config import scaled_config
 from repro.experiments.driver import run_mode
 from repro.slipstream.arsync import POLICIES
 from repro.workloads.sor import SOR
+from tests.test_golden import check
 
 
 def sor(iterations=2):
@@ -159,6 +160,14 @@ def test_degraded_pair_repromotes_later():
     assert result.demotions >= 1
     assert result.promotions >= 1
     assert result.exec_cycles > 0
+
+
+def test_demote_and_repromote_end_state_is_frozen():
+    """The corpus's one degradation case: reforks demote the pair, and
+    clean sessions re-promote it, to a recorded end-state."""
+    result = check("sor-i6/slip-G1/dir-inv/degrade")
+    assert result.demotions >= 1
+    assert result.promotions >= 1
 
 
 # ----------------------------------------------------------------------

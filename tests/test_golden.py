@@ -160,6 +160,12 @@ EXTRAS: Dict[str, Case] = {
         lambda: SOR(rows=24, cols=16, iterations=3), "slipstream", {},
         dict(faults=True, fault_seed=1, check=True,
              fault_astream_corrupt_rate=0.3)),
+    # graceful degradation: a pair demoted after one refork, re-promoted
+    "sor-i6/slip-G1/dir-inv/degrade": Case(
+        lambda: SOR(rows=24, cols=16, iterations=6), "slipstream", {},
+        dict(faults=True, fault_seed=1, check=True,
+             fault_astream_corrupt_rate=0.3, degrade_after_reforks=1,
+             repromote_after_sessions=2)),
     "sor/slip-G1/dir-inv/mixed-faults": Case(
         TINY["sor"], "slipstream", {},
         dict(faults=True, fault_seed=3, check=True,
@@ -177,7 +183,8 @@ ALL_CASES: Dict[str, Case] = {**CASES, **EXTRAS}
 
 #: RunResult counters the recorder totals, to show the corpus reaches them
 EXERCISED = ("recoveries", "astream_corruptions", "policy_switches",
-             "forwarded_prefetches", "transparent_replies")
+             "forwarded_prefetches", "transparent_replies", "demotions",
+             "promotions")
 
 
 def run_case(case: Case):

@@ -137,7 +137,7 @@ def test_loadgen_allow_shed_flag_tolerates_backpressure():
 
 @pytest.mark.slow
 def test_loadgen_soak_larger_trace(capsys):
-    """A larger replay (marked slow): more duplicates, more waves, still
+    """A larger replay (marked slow): more duplicates, more jobs, still
     zero shed and zero failures under the default bounds."""
     exit_code = loadgen.main([
         "--spawn", "--seed", "2003", "--requests", "24",

@@ -5,6 +5,9 @@ machine configuration changes, warm-cache execution performing zero
 simulations, and graceful handling of corrupt entries."""
 
 import multiprocessing
+import os
+import threading
+
 import pytest
 
 from repro.experiments.cache import (CACHE_FORMAT_VERSION, ResultCache,
@@ -78,6 +81,43 @@ def test_put_get_roundtrip(tmp_path):
     assert revived.exec_cycles == result.exec_cycles
     assert revived.fabric_stats == result.fabric_stats
     assert cache.hits == 1 and cache.misses == 1 and cache.writes == 1
+
+
+def test_concurrent_puts_of_one_key_both_land(tmp_path, monkeypatch):
+    """Two writers of one key in one process, interleaved: the first
+    is held after fsyncing its temp file until the second has finished
+    its whole put.  Neither may clobber the other's temp file."""
+    cache = ResultCache(tmp_path / "cache")
+    result = execute_spec(spec())
+    key = spec().key()
+    first_synced, second_done = threading.Event(), threading.Event()
+    fsync = os.fsync
+
+    def held_fsync(fd):
+        fsync(fd)
+        if threading.current_thread().name == "first":
+            first_synced.set()
+            second_done.wait(timeout=10)
+
+    monkeypatch.setattr(os, "fsync", held_fsync)
+    errors = []
+
+    def put():
+        try:
+            cache.put(key, result)
+        except Exception as exc:              # noqa: BLE001 - asserted
+            errors.append(exc)
+
+    first = threading.Thread(target=put, name="first")
+    first.start()
+    assert first_synced.wait(timeout=10)
+    put()                                     # the second writer
+    second_done.set()
+    first.join(timeout=10)
+    assert not first.is_alive()
+    assert errors == []
+    assert cache.get(key).exec_cycles == result.exec_cycles
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{key}.json"]
 
 
 def test_corrupt_entry_degrades_to_miss(tmp_path):

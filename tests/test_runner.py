@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.experiments import figures
+from repro.experiments.cache import ResultCache
 from repro.experiments.driver import (DOUBLE, SEQUENTIAL, SINGLE, SLIPSTREAM,
                                       RunResult, run_mode)
 from repro.experiments.runner import (BatchStats, Runner, RunSpec,
@@ -173,6 +174,34 @@ def test_memoized_under_a_concurrent_writer(monkeypatch):
     assert errors == []
     assert all(runner.memoized(one).exec_cycles == one.max_cycles
                for one in specs)
+
+
+def test_concurrent_batches_lose_no_statistics(monkeypatch, tmp_path):
+    """Eight threads (more than the cores) share one Runner and its
+    disk cache: no batch's statistics and no cache count is lost."""
+    monkeypatch.setattr("repro.experiments.runner.execute_spec", fake_execute)
+    runner = Runner(cache=ResultCache(tmp_path))
+    specs = [spec(max_cycles=1000 + i) for i in range(160)]
+
+    def writer(offset):
+        for one in specs[offset::8]:
+            runner.run_batch([one, one])
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    stats = runner.total_stats
+    assert (stats.total, stats.unique, stats.executed) == (320, 160, 160)
+    assert (runner.cache.misses, runner.cache.writes) == (160, 160)
 
 
 def test_runner_records_wall_time():

@@ -5,9 +5,11 @@ Covers the four pipeline stages end to end over real HTTP:
 * single-flight dedup returns results bit-identical to direct
   :class:`~repro.experiments.runner.Runner` execution,
 * admission control sheds at the configured bounds (429 + Retry-After),
-* memo hits are answered at admission, outside the journal, the queue
-  and the waves,
-* the per-wave watchdog cancels a deliberately-stalled job (stalled via
+* memo hits are answered at admission, outside the journal and the
+  queue,
+* each job resolves on its own result, and an exception that escapes
+  the Runner fails that job alone,
+* the per-job watchdog cancels a deliberately-stalled job (stalled via
   the fault layer's ``blackhole`` profile),
 * ``/metrics`` series names match the obs registry schema,
 * the metamorphic sweep: a Figure-5 batch served through the API yields
@@ -18,7 +20,11 @@ Covers the four pipeline stages end to end over real HTTP:
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
+import multiprocessing
+import os
+import socket
 import threading
 import time
 
@@ -27,7 +33,9 @@ import pytest
 from repro.config import ServiceConfig
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import Runner, RunSpec, execute_spec
+from repro.experiments.supervisor import SupervisorConfig
 from repro.faults import FAULT_PROFILES
+from repro.faults.harness import HarnessChaos
 from repro.obs.registry import _split_name, series_name
 from repro.serve import (Client, ServerThread, ServiceError, ServiceRunner,
                          deterministic_dict, spec_from_dict)
@@ -47,7 +55,7 @@ STALLED = dict(workload="sor", mode="single", n_cmps=2,
 
 def serve(**config_kwargs) -> ServerThread:
     """An in-process service on an ephemeral port (context manager)."""
-    defaults = dict(port=0, batch_window_s=0.05)
+    defaults = dict(port=0)
     defaults.update(config_kwargs)
     runner = defaults.pop("runner", None)
     return ServerThread(runner=runner or Runner(),
@@ -159,14 +167,13 @@ def test_healthz_and_metrics_schema():
             base, labels = _split_name(name)
             assert series_name(base, labels) == name
         for expected in ("serve.queue_depth", "serve.requests",
-                         "serve.shed", "serve.coalesced", "serve.batches",
+                         "serve.shed", "serve.coalesced",
                          "serve.executed", "serve.cache_hits",
                          "serve.memo_hits", "serve.timeouts",
                          "serve.hit_ratio",
                          "serve.latency_quantile_ms{q=0.5}",
                          "serve.latency_quantile_ms{q=0.95}",
                          "serve.latency_ms_count",
-                         "serve.batch_occupancy_count",
                          "serve.recovered", "serve.unavailable",
                          "serve.replay_ms_count"):
             assert expected in metrics, expected
@@ -185,10 +192,10 @@ def test_metrics_csv_format():
 # ----------------------------------------------------------------------
 # Single-flight dedup + bit-identity with direct execution
 # ----------------------------------------------------------------------
-def test_coalescing_and_bit_identity_with_direct_runner():
-    # A long batch window holds the first submission open so the
-    # duplicates reliably attach to the same in-flight job.
-    with serve(batch_window_s=0.4) as harness:
+def test_coalescing_and_bit_identity_with_direct_runner(gate):
+    # The gate holds the first submission open so the duplicates
+    # reliably attach to the same in-flight job.
+    with serve() as harness:
         client = client_for(harness)
         responses = [None] * 3
 
@@ -199,8 +206,14 @@ def test_coalescing_and_bit_identity_with_direct_runner():
                    for i in range(3)]
         for thread in threads:
             thread.start()
+        deadline = time.monotonic() + 10
+        while client.metrics()["serve.coalesced"] < 2:
+            assert time.monotonic() < deadline, "duplicates never coalesced"
+            time.sleep(0.01)
+        gate.set()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
 
         # one simulation, two coalesced riders
         assert sorted(r["coalesced"] for r in responses) \
@@ -222,11 +235,10 @@ def test_coalescing_and_bit_identity_with_direct_runner():
 # ----------------------------------------------------------------------
 # Admission control
 # ----------------------------------------------------------------------
-def test_queue_bound_sheds_with_retry_after():
-    # max_queue=1 and a batch window long enough that the first job is
-    # still unresolved when the second distinct spec arrives.
-    with serve(max_queue=1, batch_window_s=1.0, retry_after_s=2.5) \
-            as harness:
+def test_queue_bound_sheds_with_retry_after(gate):
+    # max_queue=1, and the gate keeps the first job unresolved when the
+    # second distinct spec arrives.
+    with serve(max_queue=1, retry_after_s=2.5) as harness:
         client = client_for(harness)
         first = {}
 
@@ -241,7 +253,9 @@ def test_queue_bound_sheds_with_retry_after():
             time.sleep(0.01)
         with pytest.raises(ServiceError) as excinfo:
             client.submit(OTHER)
-        thread.join()
+        gate.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
         assert excinfo.value.status == 429
         # Retry-After is jittered by ±retry_jitter (default 0.2) so shed
         # clients never retry in a synchronized herd.
@@ -250,8 +264,8 @@ def test_queue_bound_sheds_with_retry_after():
         assert client.metrics()["serve.shed"] == 1
 
 
-def test_per_client_cap_sheds_only_the_greedy_client():
-    with serve(per_client_inflight=1, batch_window_s=1.0) as harness:
+def test_per_client_cap_sheds_only_the_greedy_client(gate):
+    with serve(per_client_inflight=1) as harness:
         client = client_for(harness)
         background = {}
 
@@ -269,14 +283,24 @@ def test_per_client_cap_sheds_only_the_greedy_client():
             client.submit(SMALL, client="greedy")
         assert excinfo.value.status == 429
         # a different client coalesces onto the same in-flight job
-        other = client.submit(SMALL, client="patient")
-        thread.join()
+        other = {}
+        rider = threading.Thread(
+            target=lambda: other.update(client.submit(SMALL,
+                                                      client="patient")))
+        rider.start()
+        while client.metrics()["serve.coalesced"] < 1:
+            assert time.monotonic() < deadline + 5
+            time.sleep(0.01)
+        gate.set()
+        for waiter in (thread, rider):
+            waiter.join(timeout=60)
+            assert not waiter.is_alive()
         assert other["coalesced"] is True
         assert other["result"] == background["result"]
 
 
 def test_batch_admission_is_atomic():
-    with serve(max_queue=2, batch_window_s=0.5) as harness:
+    with serve(max_queue=2) as harness:
         client = client_for(harness)
         with pytest.raises(ServiceError) as excinfo:
             client.batch([SMALL, OTHER, dict(SMALL, n_cmps=1)])
@@ -287,7 +311,7 @@ def test_batch_admission_is_atomic():
 
 
 def test_batch_admission_is_atomic_under_the_client_cap():
-    with serve(per_client_inflight=2, batch_window_s=0.5) as harness:
+    with serve(per_client_inflight=2) as harness:
         client = client_for(harness)
         with pytest.raises(ServiceError) as excinfo:
             client.batch([SMALL, OTHER, dict(SMALL, n_cmps=1)])
@@ -295,12 +319,12 @@ def test_batch_admission_is_atomic_under_the_client_cap():
         health = client.healthz()
         assert health["queue_depth"] == 0
         assert health["requests"] == 0
-        time.sleep(0.8)                   # past the batch window
+        time.sleep(0.8)                   # time for stray work to run
         assert client.healthz()["executed"] == 0
 
 
 # ----------------------------------------------------------------------
-# Memo hits: answered at admission, outside the journal, queue and waves
+# Memo hits: answered at admission, outside the journal and the queue
 # ----------------------------------------------------------------------
 def warm_runner(*blobs) -> Runner:
     """A Runner whose memo already holds ``blobs``' results."""
@@ -322,9 +346,7 @@ def test_repeat_request_is_answered_from_the_memo(tmp_path):
         assert again["coalesced"] is False
         assert again["id"] != first["id"]
         assert again["result"] == first["result"]
-        for name in ("serve.executed", "serve.batches",
-                     "serve.batch_occupancy_count"):
-            assert after[name] == before[name], name
+        assert after["serve.executed"] == before["serve.executed"]
         assert client.healthz()["journal"]["appended"] == appended == 3
         assert after["serve.memo_hits"] == before["serve.memo_hits"] + 1
         assert after["serve.requests"] == 2
@@ -346,10 +368,12 @@ def test_memo_hit_with_wait_0_is_done_and_pollable():
         assert info["result"]["exec_cycles"] > 0
 
 
-def test_all_hit_batch_is_answered_while_the_queue_is_full():
+def test_all_hit_batch_is_answered_while_the_queue_is_full(gate):
     third = dict(SMALL, n_cmps=1)
-    with serve(runner=warm_runner(SMALL, OTHER), max_queue=1,
-               batch_window_s=1.0) as harness:
+    gate.set()                            # warm the memo unheld
+    runner = warm_runner(SMALL, OTHER)
+    gate.clear()
+    with serve(runner=runner, max_queue=1) as harness:
         client = client_for(harness)
         background = {}
         thread = threading.Thread(
@@ -363,6 +387,7 @@ def test_all_hit_batch_is_answered_while_the_queue_is_full():
         # the queue really is full: new work is shed meanwhile
         with pytest.raises(ServiceError) as excinfo:
             client.submit(dict(OTHER, n_cmps=1))
+        gate.set()
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert excinfo.value.status == 429
@@ -376,7 +401,7 @@ def test_all_hit_batch_is_answered_while_the_queue_is_full():
 # Watchdog: a fault-layer-stalled job resolves as a structured Timeout
 # ----------------------------------------------------------------------
 def test_watchdog_cancels_stalled_job_and_service_recovers():
-    with serve(job_timeout_s=1.0, batch_window_s=0.05) as harness:
+    with serve(job_timeout_s=1.0) as harness:
         client = client_for(harness)
         started = time.monotonic()
         with pytest.raises(ServiceError) as excinfo:
@@ -390,13 +415,88 @@ def test_watchdog_cancels_stalled_job_and_service_recovers():
         metrics = client.metrics()
         assert metrics["serve.timeouts"] == 1
 
-        # the stalled worker thread drains in the background (it holds
-        # the runner lock until its max_cycles bound); after it does,
-        # the service keeps serving
+        # the stalled thread drains in the background (it holds the
+        # Runner's in-process leg until its max_cycles bound); after it
+        # does, the service keeps serving
         time.sleep(3.0)
         response = client.submit(SMALL)
         assert response["status"] == "done"
         assert response["result"]["error"] is None
+
+
+# ----------------------------------------------------------------------
+# Per-job completion
+# ----------------------------------------------------------------------
+def pooled_runner(workers: int, chaos: HarnessChaos) -> Runner:
+    """A supervised Runner whose workers draw ``chaos`` (hangs end at a
+    5 s wall limit)."""
+    runner = Runner(jobs=workers, cache=None, supervisor=SupervisorConfig(
+        wall_limit_s=5.0, retry_backoff_s=0.01))
+    runner.pool.chaos = chaos
+    return runner
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="needs a two-worker pool")
+def test_short_job_resolves_while_a_long_job_runs():
+    long_key = spec_from_dict(OTHER).key()
+    short_key = spec_from_dict(SMALL).key()
+    seed = next(s for s in range(1000)
+                if HarnessChaos(seed=s, worker_hang_rate=0.5)
+                .worker_fault(long_key, 0) == "hang"
+                and HarnessChaos(seed=s, worker_hang_rate=0.5)
+                .worker_fault(short_key, 0) is None)
+    runner = pooled_runner(2, HarnessChaos(seed=seed, worker_hang_rate=0.5))
+    with serve(runner=runner) as harness:
+        client = client_for(harness)
+        ticket = client.submit(OTHER, wait=False)     # hangs until 5 s
+        short = client.submit(SMALL)
+        assert short["status"] == "done"
+        assert client.run_info(ticket["id"])["status"] == "running"
+
+
+def test_forked_worker_does_not_hold_client_connections_open():
+    # A Connection: close client reads to EOF; a worker forked while its
+    # connection was open must not keep that connection alive.
+    runner = pooled_runner(1, HarnessChaos(seed=1, worker_hang_rate=1.0))
+    with serve(runner=runner) as harness, socket.create_connection(
+            (harness.host, harness.port), timeout=1.0) as raw:
+        client = client_for(harness)
+        client.submit(SMALL, wait=False)    # accepted after `raw`: forks
+        deadline = time.monotonic() + 10
+        while not multiprocessing.active_children():
+            assert time.monotonic() < deadline, "no worker was forked"
+            time.sleep(0.01)
+        raw.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        response = b""
+        while True:
+            chunk = raw.recv(65536)         # times out without EOF
+            if not chunk:
+                break
+            response += chunk
+        assert response.startswith(b"HTTP/1.1 200")
+        assert multiprocessing.active_children(), "worker already gone"
+
+
+def test_exception_escaping_the_runner_fails_only_its_job(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    put, calls = cache.put, []
+
+    def disk_full_once(key, result):
+        calls.append(key)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        put(key, result)
+
+    cache.put = disk_full_once
+    with serve(runner=Runner(cache=cache)) as harness:
+        client = client_for(harness, timeout=30.0)
+        first = client.submit(SMALL)
+        assert first["status"] == "failed"
+        assert first["result"]["error"]["type"] == "OSError"
+        assert client.submit(OTHER)["status"] == "done"
+        assert client.metrics()["serve.failed"] == 1
+        assert client.healthz()["queue_depth"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -488,8 +588,8 @@ def test_figure5_served_rows_match_direct_rows_warm_cache(tmp_path):
 # ServiceConfig validation
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kwargs", [
-    dict(max_queue=0), dict(per_client_inflight=0), dict(max_batch=0),
-    dict(batch_window_s=0), dict(job_timeout_s=-1), dict(retry_after_s=0),
+    dict(max_queue=0), dict(per_client_inflight=0),
+    dict(job_timeout_s=-1), dict(retry_after_s=0),
     dict(history_limit=0), dict(drain_timeout_s=0),
     dict(retry_jitter=-0.1), dict(retry_jitter=1.0),
     dict(journal_segment_records=0),

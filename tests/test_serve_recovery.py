@@ -27,8 +27,8 @@ OTHER = {"workload": "cg", "mode": "double", "n_cmps": 2}
 def serve(tmp_path, **config_kwargs):
     """Journal-enabled in-process service; cache and journal live under
     ``tmp_path`` so a second instance recovers the first's state."""
-    defaults = dict(port=0, batch_window_s=0.05,
-                    journal_dir=str(tmp_path / "wal"), journal_fsync=False)
+    defaults = dict(port=0, journal_dir=str(tmp_path / "wal"),
+                    journal_fsync=False)
     defaults.update(config_kwargs)
     runner = defaults.pop("runner", None)
     if runner is None:
@@ -39,10 +39,25 @@ def serve(tmp_path, **config_kwargs):
 # ----------------------------------------------------------------------
 # In-process restart recovery
 # ----------------------------------------------------------------------
-def test_restart_replays_unresolved_jobs(tmp_path):
+def open_once_resolved(gate, job) -> None:
+    """Open ``gate`` once ``job`` has resolved, from a watcher thread.
+
+    A first life stopped with a gated job in flight resolves it as
+    ``ServiceStopped`` (leaving it for replay), then waits for the held
+    simulation thread to drain; opening the gate only after that
+    resolution lets it drain without racing the stop."""
+    def watch():
+        deadline = time.monotonic() + 30
+        while not job.future.done() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        gate.set()
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def test_restart_replays_unresolved_jobs(tmp_path, gate):
     # First life: accept a job but die (stop()) before resolving it —
-    # a long batch window keeps it queued.
-    with serve(tmp_path, batch_window_s=60.0) as harness:
+    # the gate keeps it running.
+    with serve(tmp_path) as harness:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(10)
         accepted = client.submit(SMALL, wait=False)
@@ -50,6 +65,7 @@ def test_restart_replays_unresolved_jobs(tmp_path):
         # the write-ahead record is on disk before the 202 went out
         snap = client.healthz()
         assert snap["journal"]["live"] == 1
+        open_once_resolved(gate, harness.server.service.job(accepted["id"]))
 
     # Second life over the same directories: the job is re-admitted,
     # executed, and its resolution lands in the result cache.
@@ -72,11 +88,12 @@ def test_restart_replays_unresolved_jobs(tmp_path):
         assert harness.server.service.recovered == 0
 
 
-def test_recovered_result_is_bit_identical_to_direct(tmp_path):
-    with serve(tmp_path, batch_window_s=60.0) as harness:
+def test_recovered_result_is_bit_identical_to_direct(tmp_path, gate):
+    with serve(tmp_path) as harness:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(10)
-        client.submit(SMALL, wait=False)
+        accepted = client.submit(SMALL, wait=False)
+        open_once_resolved(gate, harness.server.service.job(accepted["id"]))
 
     with serve(tmp_path) as harness:
         client = Client(harness.host, harness.port)
@@ -141,7 +158,7 @@ def test_not_ready_before_start_sheds_503(tmp_path):
 
 
 def test_readiness_probe_and_drain_sheds(tmp_path):
-    with serve(tmp_path, batch_window_s=0.05) as harness:
+    with serve(tmp_path) as harness:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(10)
         status, _, body = client._request("GET", "/healthz?ready=1")
@@ -164,7 +181,7 @@ def test_readiness_probe_and_drain_sheds(tmp_path):
 
 
 def test_graceful_drain_finishes_inflight_work(tmp_path):
-    harness = serve(tmp_path, batch_window_s=0.2).start()
+    harness = serve(tmp_path).start()
     try:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(10)
@@ -233,8 +250,7 @@ def test_kill9_mid_wave_loses_no_accepted_work(tmp_path):
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     args = [sys.executable, "-m", "repro.serve", "--port", "0",
             "--journal-dir", str(tmp_path / "wal"),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--batch-window", "0.2"]
+            "--cache-dir", str(tmp_path / "cache")]
 
     def launch():
         process = subprocess.Popen(args, env=env, stderr=subprocess.PIPE,
@@ -259,7 +275,7 @@ def test_kill9_mid_wave_loses_no_accepted_work(tmp_path):
         for spec in specs:
             accepted = client.submit(spec, wait=False)
             assert accepted["status"] in ("queued", "running")
-        # accepted (and fsync'd): now kill -9 mid-wave
+        # accepted (and fsync'd): now kill -9 with them in flight
         assert client.healthz()["journal"]["live"] >= 1
     finally:
         process.kill()                       # SIGKILL: no cleanup runs

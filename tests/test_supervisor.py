@@ -105,14 +105,15 @@ def test_breaker_keys_are_independent():
 
 
 # ----------------------------------------------------------------------
-# Wave execution (real child processes — slow-ish but bounded)
+# Job execution (real child processes — slow-ish but bounded)
 # ----------------------------------------------------------------------
 def test_wave_results_are_bit_identical_to_serial():
     supervised = pool()
-    results, stats = supervised.run_wave([SMALL])
-    assert stats.completed == 1 and stats.failed == 0
+    result = supervised.run(SMALL)
+    assert supervised.counts["completed"] == 1
+    assert supervised.counts["failed"] == 0
     direct = Runner(cache=None).run(SMALL)
-    supervised_dict = results[SMALL].to_dict()
+    supervised_dict = result.to_dict()
     direct_dict = direct.to_dict()
     supervised_dict.pop("wall_seconds")
     direct_dict.pop("wall_seconds")
@@ -123,19 +124,17 @@ def test_poison_spec_trips_breaker_then_short_circuits():
     # rate-1.0 crash profile: every attempt SIGKILLs itself.
     supervised = pool(chaos_profile="poison", retries=2,
                       breaker_threshold=3, breaker_cooldown_s=3600.0)
-    results, stats = supervised.run_wave([SMALL])
-    result = results[SMALL]
+    result = supervised.run(SMALL)
     assert result.error is not None
     assert result.error["type"] == "WorkerCrash"
     assert result.error["attempts"] == 3          # initial + 2 retries
-    assert stats.crashes == 3
+    assert supervised.counts["worker_crashes"] == 3
     # three consecutive deaths opened the breaker ...
     assert not supervised.breaker.allow(SMALL.key())
     assert not supervised.healthy()
-    # ... so the next wave never spawns a process for it
-    results2, stats2 = supervised.run_wave([SMALL])
-    assert results2[SMALL].error["type"] == "CircuitOpen"
-    assert stats2.breaker_short_circuits == 1
+    # ... so the next run never spawns a process for it
+    assert supervised.run(SMALL).error["type"] == "CircuitOpen"
+    assert supervised.counts["breaker_short_circuits"] == 1
     assert supervised.counts["worker_crashes"] == 3   # unchanged
 
 
@@ -150,9 +149,8 @@ def test_crash_retry_recovers_on_a_clean_redraw():
                 .worker_fault(key, 1) is None)
     supervised = pool(retries=2)
     supervised.chaos = HarnessChaos(seed=seed, worker_crash_rate=0.5)
-    results, stats = supervised.run_wave([SMALL])
-    assert results[SMALL].error is None
-    assert stats.crashes == 1 and stats.retried == 1
+    assert supervised.run(SMALL).error is None
+    assert supervised.counts["worker_crashes"] == 1
     assert supervised.counts["retries"] == 1
     # the success closed the breaker bookkeeping for the key
     assert supervised.breaker.allow(key)
@@ -163,26 +161,24 @@ def test_hang_is_killed_at_the_wall_limit_without_retry():
                       retries=2)
     # force the hang decision deterministically
     supervised.chaos = HarnessChaos(seed=1, worker_hang_rate=1.0)
-    results, stats = supervised.run_wave([SMALL])
-    result = results[SMALL]
+    result = supervised.run(SMALL)
     assert result.error is not None
     assert result.error["type"] == "Timeout"
-    assert stats.hangs == 1 and stats.retried == 0
     assert supervised.counts["worker_hangs"] == 1
+    assert supervised.counts["retries"] == 0
 
 
 def test_rss_limit_turns_runaway_allocation_into_memory_error():
     # 64 MiB address space cannot even finish interpreter+sim imports
     # allocating a big buffer; the child reports MemoryError cleanly.
     supervised = pool(rss_limit_mb=64, retries=0)
-    results, stats = supervised.run_wave([SMALL])
-    result = results[SMALL]
+    result = supervised.run(SMALL)
     # Either the sim fit (tiny workload) or it reported MemoryError —
     # never a crash. Accept both, but assert the *shape* is structured.
     if result.error is not None:
         assert result.error["type"] == "MemoryError"
-        assert stats.failed == 1
-    assert stats.crashes == 0
+        assert supervised.counts["failed"] == 1
+    assert supervised.counts["worker_crashes"] == 0
 
 
 def test_health_gate_degrades_and_recovers():

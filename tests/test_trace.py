@@ -11,8 +11,8 @@ The layering under test:
 * cross-process propagation — supervised pool workers ship their
   spans home with the parent request's trace_id, through crashes,
   hangs, and retries;
-* the service — root spans per admitted request, queue-wait/wave-
-  execute children, memo hits answered at admission, coalesced-follower
+* the service — root spans per admitted request, queue-wait and
+  execution children, memo hits answered at admission, coalesced-follower
   links, shed/watchdog trace_ids, journal replay keeping pre-crash
   trace identity;
 * byte-identity — with tracing off, wire payloads, journal records,
@@ -52,7 +52,7 @@ STALLED = RunSpec(workload="sor", mode="single", n_cmps=2,
 
 
 def service_config(**kwargs) -> ServiceConfig:
-    defaults = dict(port=0, batch_window_s=0.05, trace=True)
+    defaults = dict(port=0, trace=True)
     defaults.update(kwargs)
     return ServiceConfig(**defaults)
 
@@ -211,10 +211,9 @@ def test_supervised_wave_nests_worker_spans_under_request():
                                 workers=2)
     tracer = Tracer()
     root = tracer.start_span("request")
-    results, _ = supervised.run_wave([SMALL], parents={SMALL: root.context},
-                                     tracer=tracer)
+    result = supervised.run(SMALL, parent=root.context, tracer=tracer)
     root.end()
-    assert results[SMALL].error is None
+    assert result.error is None
     by_name = {s.name: s for s in tracer.spans()}
     job = by_name["supervisor.job"]
     worker = by_name["worker.run"]
@@ -240,11 +239,9 @@ def test_crash_retry_spans_keep_request_trace():
     supervised.chaos = HarnessChaos(seed=seed, worker_crash_rate=0.5)
     tracer = Tracer()
     root = tracer.start_span("request")
-    results, stats = supervised.run_wave([SMALL],
-                                         parents={SMALL: root.context},
-                                         tracer=tracer)
+    result = supervised.run(SMALL, parent=root.context, tracer=tracer)
     root.end()
-    assert results[SMALL].error is None and stats.retried == 1
+    assert result.error is None and supervised.counts["retries"] == 1
     job = next(s for s in tracer.spans() if s.name == "supervisor.job")
     events = [name for _, name, _ in job.events]
     assert "crash" in events and "retry" in events
@@ -263,10 +260,9 @@ def test_hang_span_records_timeout_outcome():
     supervised.chaos = HarnessChaos(seed=1, worker_hang_rate=1.0)
     tracer = Tracer()
     root = tracer.start_span("request")
-    results, _ = supervised.run_wave([SMALL], parents={SMALL: root.context},
-                                     tracer=tracer)
+    result = supervised.run(SMALL, parent=root.context, tracer=tracer)
     root.end()
-    assert results[SMALL].error["type"] == "Timeout"
+    assert result.error["type"] == "Timeout"
     job = next(s for s in tracer.spans() if s.name == "supervisor.job")
     assert any(name == "hang" for _, name, _ in job.events)
     assert job.attrs["outcome"] == "Timeout"
@@ -276,9 +272,9 @@ def test_hang_span_records_timeout_outcome():
 def test_untraced_supervised_wave_adds_no_spans():
     supervised = SupervisedPool(SupervisorConfig(retry_backoff_s=0.01),
                                 workers=2)
-    results, _ = supervised.run_wave([SMALL])
-    assert results[SMALL].error is None
-    assert supervised._tracer is None
+    # untraced, the worker ships the plain result dict; the traced
+    # {"result", "spans"} wrapper would not decode as a RunResult
+    assert supervised.run(SMALL).error is None
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +323,7 @@ def test_coalesced_follower_links_leader_trace():
         await asyncio.wait_for(asyncio.shield(leader.future), 120)
         return leader
 
-    service, leader = run_service(scenario, batch_window_s=0.2)
+    service, leader = run_service(scenario)
     spans = service.tracer.spans()
     roots = [s for s in spans if s.name == "serve.request"]
     assert len(roots) == 2
@@ -363,7 +359,7 @@ def test_memo_hit_is_its_own_trace_answered_at_admission():
     children = sorted(s.name for s in spans
                       if s.context.parent_id == root.context.span_id)
     assert children == ["runner.memo_hit", "serve.admission"]
-    # only the first request waited in the queue and joined a wave
+    # only the first request waited in the queue and executed
     assert sum(s.name == "serve.wave_execute" for s in spans) == 1
 
 
@@ -413,8 +409,7 @@ def test_watchdog_timeout_error_carries_trace_id():
         job, _ = service.submit_nowait(STALLED, "a")
         return job, await asyncio.wait_for(asyncio.shield(job.future), 120)
 
-    service, (job, result) = run_service(scenario, job_timeout_s=0.5,
-                                         batch_window_s=0.02)
+    service, (job, result) = run_service(scenario, job_timeout_s=0.5)
     assert result.error["type"] == "Timeout"
     assert result.error["trace_id"] == job.span.context.trace_id
     exec_span = next(s for s in service.tracer.spans()
@@ -428,7 +423,7 @@ def test_untraced_service_keeps_error_payload_shape():
         return await asyncio.wait_for(asyncio.shield(job.future), 120)
 
     service, result = run_service(scenario, job_timeout_s=0.5,
-                                  batch_window_s=0.02, trace=False)
+                                  trace=False)
     assert result.error["type"] == "Timeout"
     assert "trace_id" not in result.error
 
